@@ -1,7 +1,7 @@
 # Tier-1 gate: everything must build, vet clean, and pass the full test
 # suite with the race detector on (the parallel experiment runner makes the
 # whole suite a concurrency test).
-.PHONY: check build vet test race bench bench-hotpath bench-save bench-compare audit fuzz gencorpus
+.PHONY: check build vet test race bench bench-hotpath bench-save bench-compare audit golden fuzz gencorpus
 
 check: build vet race
 
@@ -23,6 +23,21 @@ race:
 # trace agreement, and capture bounds across the whole reproduction.
 audit:
 	go run ./cmd/svrlab all -seed 42 -repeats 1 -audit
+
+# Golden artifact gate: regenerate every seed-42 artifact and require it to
+# match the checked-in artifacts_seed42.txt byte for byte, printing the diff
+# when it does not. The sweep runs at the CLI's default worker count,
+# GOMAXPROCS, so `GOMAXPROCS=1 make golden` checks the single-worker path.
+golden:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	go run ./cmd/svrlab all -seed 42 -repeats 1 > "$$out" || exit 1; \
+	if cmp -s artifacts_seed42.txt "$$out"; then \
+		echo "golden: artifacts_seed42.txt reproduced byte for byte"; \
+	else \
+		diff artifacts_seed42.txt "$$out"; \
+		echo "golden: regenerated artifacts differ from artifacts_seed42.txt"; \
+		exit 1; \
+	fi
 
 # Fuzz every wire codec — plus the scheduler's differential ordering
 # target — for FUZZTIME each (DESIGN.md "The codec hardening contract",

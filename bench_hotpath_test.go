@@ -1,9 +1,10 @@
 // Hot-path micro-benchmarks: where the figure-level benchmarks in
 // bench_test.go measure whole experiments, these isolate the per-packet
 // machinery the fast-path work targets — fabric forwarding, wire
-// serialization, metric recording, and capture ingest. Run with -benchmem;
-// the allocs/op column is the contract (see DESIGN.md "The packet hot
-// path"). `make bench-hotpath` runs exactly this suite.
+// serialization, metric recording, capture ingest, and the TCP→TLS→framing
+// stream path. Run with -benchmem; the allocs/op column is the contract
+// (see DESIGN.md "The packet hot path"). `make bench-hotpath` runs exactly
+// this suite.
 package svrlab_test
 
 import (
@@ -15,7 +16,9 @@ import (
 	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
+	"github.com/svrlab/svrlab/internal/secure"
 	"github.com/svrlab/svrlab/internal/simtime"
+	"github.com/svrlab/svrlab/internal/transport"
 )
 
 // benchNet builds the same 3-site line the netsim tests use: two WiFi hosts
@@ -364,5 +367,49 @@ func BenchmarkHotpathCaptureIngest(b *testing.B) {
 			sn.Clear()
 			b.StartTimer()
 		}
+	}
+}
+
+// BenchmarkHotpathStreamBulk measures the stream path end to end: one asset
+// response of 1 MiB or 20 MiB (the Hubs scene) sent with Session.SendMsg,
+// carried as TLS records over TCP across the three-site fabric, and parsed
+// by a MsgReader configured as the download client's (bodies skipped, not
+// kept). B/op and allocs/op are per transfer, and MB/s is application
+// bytes moved per second of host time.
+func BenchmarkHotpathStreamBulk(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"1MiB", 1 << 20}, {"20MiB", 20 << 20}} {
+		b.Run(size.name, func(b *testing.B) {
+			n, h1, h2 := benchNet()
+			var srv *secure.Session
+			transport.NewStack(n, h2).ListenTCP(443, func(c *transport.Conn) { srv = secure.Server(c) })
+			cli := secure.Client(transport.NewStack(n, h1).DialTCP(packet.Endpoint{Addr: h2.Addr, Port: 443}))
+			cli.OnData = (&secure.MsgReader{MaxLen: size.n}).Feed
+			n.Sched.Run()
+			body := make([]byte, size.n)
+			transfer := func() {
+				srv.SendMsg(secure.MsgResponse, body)
+				n.Sched.Run()
+			}
+			// 80 MiB of untimed transfers first: congestion avoidance takes
+			// that long to open the window to the receive-window cap, and
+			// until it does, segment sizes (and so allocs/op) drift with b.N.
+			warm := 80 << 20 / size.n
+			for i := 0; i < warm; i++ {
+				transfer()
+			}
+			b.SetBytes(int64(size.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				transfer()
+			}
+			b.StopTimer()
+			if want := (warm + b.N) * (size.n + 5); cli.AppBytesRecv != want { // 5-byte message header
+				b.Fatalf("client received %d application bytes, want %d", cli.AppBytesRecv, want)
+			}
+		})
 	}
 }

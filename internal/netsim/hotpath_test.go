@@ -117,6 +117,27 @@ func TestPacketOwnershipAfterSend(t *testing.T) {
 	}
 }
 
+// TestReceiverPayloadOwnedByFabric: the receiving handler's pkt.Payload
+// must be the fabric's wire copy, not the sender's buffer. A sender that
+// overwrites its payload right after Send returns (as TCP's compacting send
+// queue does) must not change what the receiver sees.
+func TestReceiverPayloadOwnedByFabric(t *testing.T) {
+	n, h1, h2, _, _ := buildTestNet(t)
+	var got []byte
+	h2.Handler = func(p *packet.Packet) { got = append([]byte(nil), p.Payload...) }
+
+	payload := []byte("owned-by-netsim")
+	want := append([]byte(nil), payload...)
+	n.Send(h1, udpTo(h2.Addr, payload))
+	for i := range payload {
+		payload[i] = 0xFF
+	}
+	n.Sched.Run()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("receiver saw %q, want %q: the payload aliased the sender's buffer", got, want)
+	}
+}
+
 // TestSendDeliverAllocs pins the hot path's allocation budget: once the
 // forwarding-state, wire-buffer, and event pools are warm, a full
 // Send→forward→deliver round trip must allocate (amortized) less than one

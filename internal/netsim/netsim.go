@@ -704,11 +704,14 @@ func (n *Network) releaseFwd(fs *fwdState) {
 // unroutable (the packet is silently dropped, as the real Internet would).
 //
 // Ownership: the fabric owns pkt from the moment Send returns true. It is
-// marshaled to wire bytes exactly once, synchronously, inside Send — so the
-// payload may alias a buffer the caller appends to afterwards — but the
-// Packet struct itself (notably IP.TTL, mutated per hop, and IP.ID) must not
-// be reused for another Send while in flight, and callers must not mutate
-// the payload bytes in place. See TestPacketOwnershipAfterSend.
+// marshaled to wire bytes exactly once, synchronously, inside Send, and
+// pkt.Payload is re-pointed at the payload bytes of that wire copy, so the
+// caller's payload buffer is free for reuse (overwrite, compaction) as soon
+// as Send returns. The Packet struct itself (notably IP.TTL, mutated per
+// hop, and IP.ID) must not be reused for another Send while in flight. The
+// receiving handler sees pkt.Payload only for the duration of its call: the
+// wire buffer goes back to the pool when the handler returns. See
+// TestPacketOwnershipAfterSend and TestReceiverPayloadOwnedByFabric.
 //
 // The capture tap sits after the uplink netem impairment — the paper's
 // vantage point (tc-netem and Wireshark on the same AP, with capture seeing
@@ -757,6 +760,9 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 	fs.pkt, fs.src, fs.dst, fs.path = pkt, h, dst, path
 	fs.wire = pkt.MarshalTo(fs.wire[:0])
 	fs.size = len(fs.wire)
+	if k := len(pkt.Payload); k > 0 {
+		pkt.Payload = fs.wire[fs.size-k : fs.size : fs.size]
+	}
 	fs.span = n.Tracer.NextSpan()
 
 	now := n.Sched.Now()

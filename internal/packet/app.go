@@ -37,7 +37,7 @@ type TLSRecord struct {
 // encryption, only real sizes.
 func MarshalTLSRecord(contentType uint8, body []byte) []byte {
 	if len(body) <= MaxTLSPlaintext {
-		return marshalOneTLSRecord(nil, contentType, body)
+		return AppendTLSRecord(nil, contentType, body)
 	}
 	records := (len(body) + MaxTLSPlaintext - 1) / MaxTLSPlaintext
 	out := make([]byte, 0, len(body)+records*(TLSRecordHeaderLen+TLSRecordOverhead))
@@ -46,24 +46,21 @@ func MarshalTLSRecord(contentType uint8, body []byte) []byte {
 		if n > MaxTLSPlaintext {
 			n = MaxTLSPlaintext
 		}
-		out = marshalOneTLSRecord(out, contentType, body[:n])
+		out = AppendTLSRecord(out, contentType, body[:n])
 		body = body[n:]
 	}
 	return out
 }
 
-// marshalOneTLSRecord appends a single record framing body (which must fit
-// MaxTLSPlaintext) to dst.
-func marshalOneTLSRecord(dst []byte, contentType uint8, body []byte) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, TLSRecordHeaderLen+len(body)+TLSRecordOverhead)...)
-	out := dst[off:]
-	out[0] = contentType
-	out[1] = 3
-	out[2] = 3 // TLS 1.2 wire version
-	binary.BigEndian.PutUint16(out[3:5], uint16(len(body)+TLSRecordOverhead))
-	copy(out[TLSRecordHeaderLen:], body)
-	return dst
+// AppendTLSRecord appends a single record framing body (which must fit
+// MaxTLSPlaintext) to dst and returns the extended slice. It allocates only
+// when dst lacks capacity, so a sender that reuses one scratch buffer frames
+// every record without allocating.
+func AppendTLSRecord(dst []byte, contentType uint8, body []byte) []byte {
+	n := len(body) + TLSRecordOverhead
+	dst = append(dst, contentType, 3, 3, byte(n>>8), byte(n)) // TLS 1.2 wire version
+	dst = append(dst, body...)
+	return append(dst, make([]byte, TLSRecordOverhead)...)
 }
 
 // Errors distinguishing an incomplete TLS record (feed more bytes) from a

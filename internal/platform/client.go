@@ -174,7 +174,15 @@ func (c *Client) request(reqType byte, rest []byte) {
 	if err != nil {
 		panic(fmt.Sprintf("platform: client %q room %q: %v", c.User, c.RoomName, err))
 	}
-	c.ctrl.Send(secure.MarshalMsg(secure.MsgRequest, body))
+	c.ctrl.SendMsg(secure.MsgRequest, body)
+}
+
+// newDownloadReader parses asset responses. Nothing reads the bodies, so
+// OnMsg stays nil and the reader skips them instead of buffering them; its
+// bound is the asset server's own cap, not MsgReader's 16 MiB default,
+// which the 18–22 MiB scene downloads exceed.
+func newDownloadReader() *secure.MsgReader {
+	return &secure.MsgReader{MaxLen: maxAssetBytes}
 }
 
 // download fetches n bytes from the platform's asset/CDN host over a
@@ -183,12 +191,11 @@ func (c *Client) download(n int) {
 	ep := c.Dep.AssetEndpoint(c.Profile)
 	conn := c.Stack.DialTCP(ep)
 	sess := secure.Client(conn)
-	reader := &secure.MsgReader{OnMsg: func(kind byte, body []byte) {}}
-	sess.OnData = reader.Feed
+	sess.OnData = newDownloadReader().Feed
 	req := make([]byte, 5)
 	req[0] = reqAsset
 	binary.BigEndian.PutUint32(req[1:5], uint32(n))
-	sess.Send(secure.MarshalMsg(secure.MsgRequest, req))
+	sess.SendMsg(secure.MsgRequest, req)
 }
 
 // JoinEvent enters a social event. Position defaults to a random spot; use
@@ -405,7 +412,7 @@ func (c *Client) sendAvatar(actionID uint32, triggeredLocal time.Duration) {
 			c.Dep.Metrics().Inc("platform.wire_marshal_err")
 			return
 		}
-		c.ctrl.Send(secure.MarshalMsg(secure.MsgPush, body))
+		c.ctrl.SendMsg(secure.MsgPush, body)
 		c.seq++
 		return
 	}

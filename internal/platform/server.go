@@ -509,7 +509,7 @@ func newCtrlServer(d *Deployment, p *Profile, be *Backend, h *netsim.Host, priva
 
 // push delivers a server-initiated message (Hubs avatar forwards, sync).
 func (cs *ctrlSession) push(payload []byte) {
-	cs.sess.Send(secure.MarshalMsg(secure.MsgPush, payload))
+	cs.sess.SendMsg(secure.MsgPush, payload)
 }
 
 // control request body layout: [reqType][userLen][user][roomLen][room][rest...]
@@ -607,7 +607,7 @@ func (cs *ctrlSession) onMsg(kind byte, body []byte) {
 }
 
 func (cs *ctrlSession) respond(body []byte) {
-	cs.sess.Send(secure.MarshalMsg(secure.MsgResponse, body))
+	cs.sess.SendMsg(secure.MsgResponse, body)
 }
 
 func maxInt(a, b int) int {
@@ -623,6 +623,10 @@ func maxInt(a, b int) int {
 // AssetServer serves the large background downloads of §5.2 over HTTPS.
 type AssetServer struct {
 	stack *transport.Stack
+	// zeros is the response body every download shares: asset bodies are
+	// all-zero filler, and SendMsg copies before returning, so one buffer
+	// grown to the largest request serves them all.
+	zeros []byte
 }
 
 // maxAssetBytes bounds any single asset/CDN response (512 MiB): download
@@ -643,7 +647,10 @@ func newAssetServer(d *Deployment, p *Profile, h *netsim.Host) *AssetServer {
 			if n > maxAssetBytes {
 				return
 			}
-			sess.Send(secure.MarshalMsg(secure.MsgResponse, make([]byte, n)))
+			if n > len(s.zeros) {
+				s.zeros = make([]byte, n)
+			}
+			sess.SendMsg(secure.MsgResponse, s.zeros[:n])
 		}}
 		sess.OnData = reader.Feed
 	})

@@ -303,3 +303,40 @@ func randAvatar(rng *rand.Rand) avatarMsg {
 		Pose:     randBytes(rng, 200),
 	}
 }
+
+// TestDownloadReaderKeepsLargeAssets: the download client's reader must
+// accept responses up to the asset server's own cap. Under MsgReader's
+// 16 MiB default, a 20 MiB scene was dropped as corrupt and its zero body
+// then parsed as millions of empty messages, garbling what followed.
+func TestDownloadReaderKeepsLargeAssets(t *testing.T) {
+	r := newDownloadReader()
+	type msg struct {
+		kind byte
+		size int
+		body string
+	}
+	var got []msg
+	r.OnMsg = func(kind byte, body []byte) {
+		m := msg{kind: kind, size: len(body)}
+		if len(body) < 64 {
+			m.body = string(body)
+		}
+		got = append(got, m)
+	}
+	wire := append(secure.MarshalMsg(secure.MsgResponse, make([]byte, 20<<20)),
+		secure.MarshalMsg(secure.MsgResponse, []byte("next asset"))...)
+	for len(wire) > 0 { // in record-sized pieces, as Session.OnData delivers
+		n := min(4096, len(wire))
+		r.Feed(wire[:n])
+		wire = wire[n:]
+	}
+	want := []msg{{secure.MsgResponse, 20 << 20, ""}, {secure.MsgResponse, len("next asset"), "next asset"}}
+	if len(got) != len(want) {
+		t.Fatalf("got %d messages, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("message %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

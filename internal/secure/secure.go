@@ -7,6 +7,7 @@
 package secure
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 
@@ -39,10 +40,19 @@ type Session struct {
 
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func()
-	// OnData receives defragmented application record bodies.
+	// OnData receives defragmented application record bodies. The slice is
+	// borrowed: it is valid only during the call, so a callee that keeps
+	// bytes must copy them.
 	OnData func([]byte)
 
-	rxBuf []byte
+	// rxBuf holds received stream bytes not yet cut into whole records.
+	rxBuf bytes.Buffer
+
+	// Reused send scratch: plain assembles a record's plaintext when the
+	// caller holds none (a handshake body) or not in one piece (a message
+	// header followed by the first body bytes); rec holds one marshaled
+	// record on its way into the connection's send queue.
+	plain, rec []byte
 
 	// queued application data written before the handshake finished.
 	pending [][]byte
@@ -68,10 +78,8 @@ func Client(conn *transport.Conn) *Session {
 	s := newSession(conn, true)
 	conn.OnData = s.onRaw
 	start := func() {
-		hello := make([]byte, clientHelloLen)
-		hello[0] = 1 // ClientHello type marker inside the record body
 		conn.Tracer().TLS(conn.Now(), conn.Span(), conn.HostID(), "client-hello")
-		conn.Send(packet.MarshalTLSRecord(packet.TLSHandshake, hello))
+		s.sendHandshake(1, clientHelloLen) // ClientHello type marker
 	}
 	if conn.State() == transport.StateEstablished {
 		start()
@@ -100,8 +108,12 @@ func (s *Session) Established() bool { return s.ready }
 // Conn exposes the underlying transport connection (for drain hooks).
 func (s *Session) Conn() *transport.Conn { return s.conn }
 
+// maxRecord is the plaintext the session puts in one application record.
+const maxRecord = 4096
+
 // Send transmits application bytes as one or more records. Data written
 // before the handshake completes is queued and flushed on establishment.
+// Send copies data; the caller may reuse it as soon as Send returns.
 func (s *Session) Send(data []byte) {
 	if !s.ready {
 		s.pending = append(s.pending, append([]byte(nil), data...))
@@ -110,19 +122,50 @@ func (s *Session) Send(data []byte) {
 	s.sendNow(data)
 }
 
+// SendMsg frames one message (see MarshalMsg) and sends it with exactly the
+// record boundaries Send(MarshalMsg(kind, body)) produces, without
+// materializing the framed message: the body is copied once, into the
+// connection's send queue, which is grown to the message's wire size up
+// front. Like Send, it copies body before returning.
+func (s *Session) SendMsg(kind byte, body []byte) {
+	if !s.ready {
+		s.pending = append(s.pending, MarshalMsg(kind, body))
+		return
+	}
+	n := msgHeaderLen + len(body)
+	records := (n + maxRecord - 1) / maxRecord
+	s.conn.Grow(n + records*(packet.TLSRecordHeaderLen+packet.TLSRecordOverhead))
+	// The first record carries the header and the start of the body.
+	k := min(len(body), maxRecord-msgHeaderLen)
+	s.plain = appendMsgHeader(s.plain[:0], kind, len(body))
+	s.plain = append(s.plain, body[:k]...)
+	s.sendNow(s.plain)
+	s.sendNow(body[k:])
+}
+
 func (s *Session) sendNow(data []byte) {
-	const maxRecord = 4096
 	for len(data) > 0 {
-		n := len(data)
-		if n > maxRecord {
-			n = maxRecord
-		}
-		s.conn.Send(packet.MarshalTLSRecord(packet.TLSApplicationData, data[:n]))
+		n := min(len(data), maxRecord)
+		s.sendRecord(packet.TLSApplicationData, data[:n])
 		s.AppBytesSent += n
 		s.cRecordsSent.Inc()
 		s.cAppBytesSent.Add(int64(n))
 		data = data[n:]
 	}
+}
+
+// sendRecord marshals one record into the reused scratch buffer and queues
+// it on the connection, which copies it.
+func (s *Session) sendRecord(contentType uint8, body []byte) {
+	s.rec = packet.AppendTLSRecord(s.rec[:0], contentType, body)
+	s.conn.Send(s.rec)
+}
+
+// sendHandshake sends a handshake record of n body bytes, zero apart from
+// the leading message-type marker.
+func (s *Session) sendHandshake(marker byte, n int) {
+	s.plain = append(append(s.plain[:0], marker), make([]byte, n-1)...)
+	s.sendRecord(packet.TLSHandshake, s.plain)
 }
 
 func (s *Session) flushPending() {
@@ -135,13 +178,16 @@ func (s *Session) flushPending() {
 // onRaw reassembles records from the TCP byte stream. A short decode waits
 // for more bytes; a malformed record means the stream is corrupt beyond
 // recovery (record boundaries are lost), so the buffer is dropped and the
-// event counted — a real TLS peer would send a fatal alert here.
+// event counted — a real TLS peer would send a fatal alert here. Record
+// bodies are handed to OnData as views into rxBuf: consumed bytes stay in
+// place until the next Write, which happens only after OnData returns.
 func (s *Session) onRaw(b []byte) {
-	s.rxBuf = append(s.rxBuf, b...)
+	s.rxBuf.Write(b)
 	for {
-		rec, body, rest, err := packet.DecodeTLSRecord(s.rxBuf)
+		buf := s.rxBuf.Bytes()
+		rec, body, rest, err := packet.DecodeTLSRecord(buf)
 		if errors.Is(err, packet.ErrTLSMalformed) {
-			s.rxBuf = nil
+			s.rxBuf.Reset()
 			s.metrics.Inc("secure.bad_records")
 			return
 		}
@@ -149,8 +195,7 @@ func (s *Session) onRaw(b []byte) {
 			return // need more bytes
 		}
 		// Consume exactly one record.
-		consumed := len(s.rxBuf) - len(rest)
-		s.rxBuf = s.rxBuf[consumed:]
+		s.rxBuf.Next(len(buf) - len(rest))
 		switch rec.ContentType {
 		case packet.TLSHandshake:
 			s.onHandshake(body)
@@ -159,7 +204,7 @@ func (s *Session) onRaw(b []byte) {
 			s.cRecordsRecv.Inc()
 			s.cAppBytesRecv.Add(int64(len(body)))
 			if s.OnData != nil {
-				s.OnData(append([]byte(nil), body...))
+				s.OnData(body)
 			}
 		}
 	}
@@ -169,10 +214,8 @@ func (s *Session) onHandshake(body []byte) {
 	if s.client {
 		// ServerHello+cert received: send Finished, session is up.
 		if !s.ready {
-			fin := make([]byte, clientFinishedLen)
-			fin[0] = 20
 			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "client-finished")
-			s.conn.Send(packet.MarshalTLSRecord(packet.TLSHandshake, fin))
+			s.sendHandshake(20, clientFinishedLen)
 			s.ready = true
 			s.cHandshakes.Inc()
 			s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "established")
@@ -185,10 +228,8 @@ func (s *Session) onHandshake(body []byte) {
 	}
 	// Server side.
 	if len(body) > 0 && body[0] == 1 { // ClientHello
-		reply := make([]byte, serverHelloLen)
-		reply[0] = 2
 		s.conn.Tracer().TLS(s.conn.Now(), s.conn.Span(), s.conn.HostID(), "server-hello")
-		s.conn.Send(packet.MarshalTLSRecord(packet.TLSHandshake, reply))
+		s.sendHandshake(2, serverHelloLen)
 		return
 	}
 	if len(body) > 0 && body[0] == 20 { // client Finished
@@ -221,43 +262,55 @@ const (
 
 // MarshalMsg frames a message.
 func MarshalMsg(kind byte, body []byte) []byte {
-	out := make([]byte, msgHeaderLen+len(body))
-	out[0] = kind
-	binary.BigEndian.PutUint32(out[1:5], uint32(len(body)))
-	copy(out[msgHeaderLen:], body)
-	return out
+	out := make([]byte, 0, msgHeaderLen+len(body))
+	return append(appendMsgHeader(out, kind, len(body)), body...)
+}
+
+func appendMsgHeader(dst []byte, kind byte, n int) []byte {
+	return binary.BigEndian.AppendUint32(append(dst, kind), uint32(n))
 }
 
 // MsgReader incrementally parses framed messages from Session.OnData
 // deliveries (records may split or merge messages).
 type MsgReader struct {
-	buf    []byte
+	// OnMsg receives each complete message. The body is borrowed: it is
+	// valid only during the call. A nil OnMsg skips bodies as they stream
+	// past instead of buffering them.
 	OnMsg  func(kind byte, body []byte)
-	MaxLen int // safety bound; 0 means 16 MB
+	MaxLen int // safety bound; 0 means 16 MiB
+
+	buf  bytes.Buffer // bytes of the current message not yet dispatched
+	skip int          // body bytes still to discard when OnMsg is nil
 }
 
 // Feed appends bytes and dispatches every complete message.
 func (r *MsgReader) Feed(b []byte) {
-	r.buf = append(r.buf, b...)
 	limit := r.MaxLen
 	if limit == 0 {
 		limit = 16 << 20
 	}
-	for len(r.buf) >= msgHeaderLen {
-		n := int(binary.BigEndian.Uint32(r.buf[1:5]))
+	k := min(r.skip, len(b))
+	r.skip -= k
+	r.buf.Write(b[k:])
+	for r.buf.Len() >= msgHeaderLen {
+		buf := r.buf.Bytes()
+		n := int(binary.BigEndian.Uint32(buf[1:5]))
 		if n > limit {
 			// Corrupt stream; drop everything.
-			r.buf = nil
+			r.buf.Reset()
 			return
 		}
-		if len(r.buf) < msgHeaderLen+n {
+		if r.OnMsg == nil {
+			// Nobody reads the body: discard what is here, skip the rest.
+			have := min(n, len(buf)-msgHeaderLen)
+			r.buf.Next(msgHeaderLen + have)
+			r.skip = n - have
+			continue
+		}
+		if len(buf) < msgHeaderLen+n {
 			return
 		}
-		kind := r.buf[0]
-		body := append([]byte(nil), r.buf[msgHeaderLen:msgHeaderLen+n]...)
-		r.buf = r.buf[msgHeaderLen+n:]
-		if r.OnMsg != nil {
-			r.OnMsg(kind, body)
-		}
+		r.buf.Next(msgHeaderLen + n)
+		r.OnMsg(buf[0], buf[msgHeaderLen:msgHeaderLen+n])
 	}
 }

@@ -123,7 +123,7 @@ func TestMsgFramingRoundTrip(t *testing.T) {
 		got = append(got, struct {
 			kind byte
 			body []byte
-		}{kind, body})
+		}{kind, append([]byte(nil), body...)}) // bodies are borrowed
 	}}
 	buf := append(MarshalMsg(MsgRequest, []byte("req")), MarshalMsg(MsgPush, []byte("push-body"))...)
 	// Feed in awkward chunks to exercise reassembly.
@@ -170,7 +170,7 @@ func TestPropertyMsgFramingAnyChunking(t *testing.T) {
 			wire = append(wire, MarshalMsg(MsgPush, b)...)
 		}
 		var got [][]byte
-		r := &MsgReader{OnMsg: func(_ byte, body []byte) { got = append(got, body) }}
+		r := &MsgReader{OnMsg: func(_ byte, body []byte) { got = append(got, append([]byte(nil), body...)) }}
 		step := int(chunk%16) + 1
 		for i := 0; i < len(wire); i += step {
 			end := i + step
@@ -209,5 +209,33 @@ func TestHandshakeByteCostIsRealistic(t *testing.T) {
 	}
 	if total > 20000 {
 		t.Fatalf("handshake moved %d bytes, suspiciously many", total)
+	}
+}
+
+// TestMsgReaderSkipsBodiesWithoutOnMsg: a reader whose bodies nobody reads
+// must not buffer them, must still honour MaxLen, and must stay in frame
+// across a large skipped body so the next message parses intact.
+func TestMsgReaderSkipsBodiesWithoutOnMsg(t *testing.T) {
+	r := &MsgReader{MaxLen: 32 << 20}
+	wire := MarshalMsg(MsgResponse, make([]byte, 20<<20))
+	for len(wire) > 0 {
+		n := min(4096, len(wire))
+		r.Feed(wire[:n])
+		wire = wire[n:]
+	}
+	if c := r.buf.Cap(); c > 2*4096 {
+		t.Fatalf("reader buffered %d bytes of a skipped body", c)
+	}
+	var got []string
+	r.OnMsg = func(kind byte, body []byte) { got = append(got, string(body)) }
+	r.Feed(MarshalMsg(MsgPush, []byte("after")))
+	if len(got) != 1 || got[0] != "after" {
+		t.Fatalf("after a skipped body got %q, want [\"after\"]", got)
+	}
+
+	r = &MsgReader{MaxLen: 10}
+	r.Feed(MarshalMsg(MsgRequest, make([]byte, 100)))
+	if r.skip != 0 || r.buf.Len() != 0 {
+		t.Fatalf("oversize message was skipped instead of dropped (skip %d, buffered %d)", r.skip, r.buf.Len())
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"sort"
 	"time"
 
@@ -79,9 +80,9 @@ type Conn struct {
 
 	// Send side.
 	iss      uint32
-	sndUna   uint32 // oldest unacknowledged sequence
-	sndNxt   uint32 // next sequence to transmit
-	sendBuf  []byte // bytes [sndUna, sndUna+len) not yet fully acked
+	sndUna   uint32       // oldest unacknowledged sequence
+	sndNxt   uint32       // next sequence to transmit
+	sendBuf  bytes.Buffer // bytes [sndUna, sndUna+Len) not yet fully acked
 	cwnd     float64
 	ssthresh float64
 	rwnd     uint32
@@ -120,7 +121,8 @@ type Conn struct {
 	// end-of-run auditor checks the peer's delivered prefix against it.
 	maxRelSeq uint32
 
-	// Callbacks.
+	// Callbacks. OnData's slice is borrowed (the fabric's wire buffer or a
+	// reassembly segment): it is valid only during the call.
 	OnData        func([]byte)
 	OnEstablished func()
 	OnClose       func(reason string)
@@ -181,7 +183,7 @@ func (c *Conn) State() ConnState { return c.state }
 func (c *Conn) Unacked() int { return int(c.sndNxt - c.sndUna) }
 
 // Buffered returns bytes queued (acked-window excluded) awaiting transmit.
-func (c *Conn) Buffered() int { return len(c.sendBuf) }
+func (c *Conn) Buffered() int { return c.sendBuf.Len() }
 
 // DialTCP opens a connection to dst. The returned Conn is usable for Send
 // immediately: bytes queue until the handshake completes.
@@ -273,13 +275,23 @@ func (c *Conn) sendSeg(hdr *packet.TCP, payload []byte) {
 	})
 }
 
-// Send queues application bytes and pumps the window.
+// Send copies application bytes into the send queue and pumps the window;
+// the caller may reuse data as soon as Send returns.
 func (c *Conn) Send(data []byte) {
 	if c.state == StateClosed || len(data) == 0 {
 		return
 	}
-	c.sendBuf = append(c.sendBuf, data...)
+	c.sendBuf.Write(data)
 	c.pump()
+}
+
+// Grow reserves room for n more queued bytes, so a sender about to queue a
+// large message in pieces grows the send queue once instead of doubling it
+// piece by piece.
+func (c *Conn) Grow(n int) {
+	if c.state != StateClosed {
+		c.sendBuf.Grow(n)
+	}
 }
 
 // pump transmits new segments while congestion and flow windows allow.
@@ -295,7 +307,7 @@ func (c *Conn) pump() {
 		}
 		avail := win - inflight
 		offset := int(c.sndNxt - c.sndUna)
-		remain := len(c.sendBuf) - offset
+		remain := c.sendBuf.Len() - offset
 		if avail < 1 || remain <= 0 {
 			return
 		}
@@ -306,7 +318,7 @@ func (c *Conn) pump() {
 		if n > avail {
 			n = avail
 		}
-		seg := c.sendBuf[offset : offset+n]
+		seg := c.sendBuf.Bytes()[offset : offset+n]
 		c.sendSeg(&packet.TCP{Flags: packet.FlagACK | packet.FlagPSH, Seq: c.sndNxt, Ack: c.rcvNxt}, seg)
 		if !c.timing {
 			c.timing = true
@@ -421,14 +433,14 @@ func (c *Conn) retransmitHead() {
 	case StateSynReceived:
 		c.sendSeg(&packet.TCP{Flags: packet.FlagSYN | packet.FlagACK, Seq: c.iss, Ack: c.rcvNxt}, nil)
 	case StateEstablished:
-		n := len(c.sendBuf)
+		n := c.sendBuf.Len()
 		if n > MSS {
 			n = MSS
 		}
 		if n == 0 {
 			return
 		}
-		c.sendSeg(&packet.TCP{Flags: packet.FlagACK | packet.FlagPSH, Seq: c.sndUna, Ack: c.rcvNxt}, c.sendBuf[:n])
+		c.sendSeg(&packet.TCP{Flags: packet.FlagACK | packet.FlagPSH, Seq: c.sndUna, Ack: c.rcvNxt}, c.sendBuf.Bytes()[:n])
 	}
 }
 
@@ -447,7 +459,7 @@ func (c *Conn) close(reason string) {
 	// Release the payload memory pinned by the send window and the
 	// reassembly queue — a closed conn otherwise holds both for the rest of
 	// the sweep cell (the same pinning class as capture's Clear fix).
-	c.sendBuf = nil
+	c.sendBuf = bytes.Buffer{}
 	c.ooo = nil
 	if c.OnClose != nil {
 		c.OnClose(reason)
@@ -512,19 +524,15 @@ func (c *Conn) receive(p *packet.Packet) {
 		// After a go-back-N rewind, a cumulative ACK for pre-rewind data can
 		// exceed the rewound sndNxt. It is still a genuine ACK for bytes the
 		// receiver holds; fast-forward sndNxt so the advance is accepted.
-		if seqLT(c.sndNxt, t.Ack) && t.Ack-c.sndUna <= uint32(len(c.sendBuf))+1 {
+		if seqLT(c.sndNxt, t.Ack) && t.Ack-c.sndUna <= uint32(c.sendBuf.Len())+1 {
 			c.sndNxt = t.Ack
 			c.noteSndNxt()
 		}
 		if seqLT(c.sndUna, t.Ack) && seqLEQ(t.Ack, c.sndNxt) {
 			acked := t.Ack - c.sndUna
 			// The SYN consumes a sequence number that never entered the
-			// send buffer; clamp buffer consumption accordingly.
-			bufAck := int(acked)
-			if bufAck > len(c.sendBuf) {
-				bufAck = len(c.sendBuf)
-			}
-			c.sendBuf = c.sendBuf[bufAck:]
+			// send buffer; Next clamps buffer consumption accordingly.
+			c.sendBuf.Next(int(acked))
 			c.sndUna = t.Ack
 			c.dupAcks = 0
 			// Spurious-RTO mitigation (F-RTO flavoured): an ACK covering
@@ -569,7 +577,7 @@ func (c *Conn) receive(p *packet.Packet) {
 			}
 			c.noteCwnd()
 			c.armRTO()
-			if c.Unacked() == 0 && len(c.sendBuf) == 0 && c.OnDrained != nil {
+			if c.Unacked() == 0 && c.sendBuf.Len() == 0 && c.OnDrained != nil {
 				c.OnDrained()
 			}
 			c.pump()

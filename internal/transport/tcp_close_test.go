@@ -74,15 +74,15 @@ func TestCloseNilsBuffers(t *testing.T) {
 	client.Send(bytes.Repeat([]byte("x"), 64*1024))
 	server.ooo[server.rcvNxt+5000] = []byte("stranded")
 	r.s.RunUntil(r.s.Now() + 2*time.Second)
-	if len(client.sendBuf) == 0 {
+	if client.sendBuf.Len() == 0 {
 		t.Fatal("precondition: client send buffer empty")
 	}
 	client.Close()
 	server.Close()
-	if client.sendBuf != nil || client.ooo != nil {
+	if client.sendBuf.Cap() != 0 || client.ooo != nil {
 		t.Fatal("client close left sendBuf/ooo populated")
 	}
-	if server.sendBuf != nil || server.ooo != nil {
+	if server.sendBuf.Cap() != 0 || server.ooo != nil {
 		t.Fatal("server close left sendBuf/ooo populated")
 	}
 }

@@ -131,6 +131,18 @@ func corpora(root string) map[string][][]byte {
 	msg := secure.MarshalMsg(secure.MsgRequest, ctrlReq)
 	msgTwo := append(append([]byte(nil), msg...), secure.MarshalMsg(secure.MsgResponse, make([]byte, 64))...)
 
+	// --- secure: stream-path harness knobs --------------------------------
+	// Layout (see specFromBytes in internal/secure/stream_test.go): 2-byte
+	// seed, Feed chunk bound, impairment flags (1 loss, 2 shaping, 4 delay
+	// stage, 8 one ≥1 MiB message), one byte per set flag, message count,
+	// then 2-byte body sizes.
+	streamClean := []byte{0, 1, 1, 0x00, 3, 0, 10, 1, 0, 0, 0}
+	streamLoss := []byte{0, 2, 50, 0x01, 4, 4, 0x10, 0x00, 0x00, 0x05, 0x40, 0x00, 0x00, 0x00}
+	streamShapedBig := []byte{0, 3, 200, 0x0A, 0, 7, 2, 0xff, 0xff, 0x00, 0x01}
+	streamDelay := []byte{0, 4, 0, 0x04, 3, 5, 0x01, 0x00, 0x0f, 0xfb, 0x0f, 0xfc, 0x10, 0x00, 0x00, 0x01}
+	streamEverything := []byte{0x12, 0x34, 255, 0x0F, 8, 12, 5, 255, 11,
+		0, 0, 0, 1, 0, 5, 1, 0, 0x0f, 0xfb, 0x10, 0x00, 0x10, 0x01, 0x20, 0x00, 0x40, 0x00, 0x80, 0x00, 0xff, 0xff}
+
 	return map[string][][]byte{
 		td("packet", "FuzzDecodePacket"): {
 			udp, tcp, icmp, other,
@@ -224,6 +236,10 @@ func corpora(root string) map[string][][]byte {
 			msg, msgTwo,
 			msg[:3],              // header split across feeds
 			mutate(msg, 1, 0xff), // huge length prefix
+		},
+		td("secure", "FuzzStreamPath"): {
+			streamClean, streamLoss, streamShapedBig, streamDelay, streamEverything,
+			{}, // no messages at all
 		},
 	}
 }
