@@ -48,7 +48,7 @@ golden:
 # FUZZTIME as a smoke pass; use FUZZTIME=60s locally before merging codec
 # changes.
 FUZZTIME ?= 10s
-FUZZPKGS = ./internal/packet ./internal/platform ./internal/capture ./internal/chaos ./internal/secure ./internal/simtime
+FUZZPKGS = ./internal/packet ./internal/avatar ./internal/platform ./internal/capture ./internal/chaos ./internal/secure ./internal/simtime
 
 fuzz:
 	@set -e; for pkg in $(FUZZPKGS); do \

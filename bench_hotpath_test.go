@@ -1,13 +1,14 @@
 // Hot-path micro-benchmarks: where the figure-level benchmarks in
 // bench_test.go measure whole experiments, these isolate the per-packet
 // machinery the fast-path work targets — fabric forwarding, wire
-// serialization, metric recording, capture ingest, and the TCP→TLS→framing
-// stream path. Run with -benchmem; the allocs/op column is the contract
+// serialization, metric recording, capture ingest, the TCP→TLS→framing
+// stream path, and the platform avatar fan-out. Run with -benchmem; the allocs/op column is the contract
 // (see DESIGN.md "The packet hot path"). `make bench-hotpath` runs exactly
 // this suite.
 package svrlab_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/obs"
 	"github.com/svrlab/svrlab/internal/packet"
+	"github.com/svrlab/svrlab/internal/platform"
 	"github.com/svrlab/svrlab/internal/secure"
 	"github.com/svrlab/svrlab/internal/simtime"
 	"github.com/svrlab/svrlab/internal/transport"
@@ -410,6 +412,48 @@ func BenchmarkHotpathStreamBulk(b *testing.B) {
 			if want := (warm + b.N) * (size.n + 5); cli.AppBytesRecv != want { // 5-byte message header
 				b.Fatalf("client received %d application bytes, want %d", cli.AppBytesRecv, want)
 			}
+		})
+	}
+}
+
+// BenchmarkHotpathAvatarFanout measures one avatar update tick of a Rec Room
+// event at 8 and 28 users: every member uploads a pose over UDP, the data
+// server decodes it and forwards it to the other N−1 members without
+// aggregation (the paper's §6 finding), and every client decodes each
+// forward. One op is one 1/60 s tick of virtual time after the event has
+// settled, so it also carries that tick's share of the 1 Hz scene,
+// keepalive and device-monitor work; forwards/op counts the decoded
+// forwards.
+func BenchmarkHotpathAvatarFanout(b *testing.B) {
+	for _, users := range []int{8, 28} {
+		b.Run(fmt.Sprintf("%dusers", users), func(b *testing.B) {
+			sched := simtime.NewScheduler()
+			dep := platform.NewDeployment(sched, 1)
+			clients := make([]*platform.Client, users)
+			for i := range clients {
+				c := platform.NewClient(dep, platform.RecRoom, fmt.Sprintf("u%d", i+1), platform.SiteCampus, 10+i)
+				c.Muted = true
+				clients[i] = c
+				sched.At(0, c.Launch)
+				sched.At(time.Second, func() { c.JoinEvent("room-1") })
+			}
+			sched.RunUntil(10 * time.Second) // joined, forwards flowing
+			forwards := func() int {
+				n := 0
+				for _, c := range clients {
+					n += c.ForwardsReceived
+				}
+				return n
+			}
+			tick := time.Second / time.Duration(platform.Get(platform.RecRoom).Codec.UpdateHz)
+			before := forwards()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sched.RunUntil(sched.Now() + tick)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(forwards()-before)/float64(b.N), "forwards/op")
 		})
 	}
 }

@@ -166,6 +166,18 @@ func getJoint(buf []byte) Joint {
 	return j
 }
 
+// rotEncodable reports whether a wire joint's quaternion components are
+// ones quantRot can produce: it clamps to ±32767, so −32768 (0x8000) is
+// never emitted and must not be accepted either.
+func rotEncodable(buf []byte) bool {
+	for off := 6; off < jointWireLen; off += 2 {
+		if binary.LittleEndian.Uint16(buf[off:]) == 0x8000 {
+			return false
+		}
+	}
+	return true
+}
+
 // Codec serializes the platform-specific subset of a pose.
 type Codec struct {
 	Name string
@@ -180,13 +192,7 @@ type Codec struct {
 
 // WireLen returns the encoded size for this codec.
 func (c *Codec) WireLen() int {
-	n := 2            // format tag + codec version
-	n += jointWireLen // head
-	n += jointWireLen // torso
-	if c.HasArms {
-		n += 2 * jointWireLen
-	}
-	n += c.BodyJoints * jointWireLen
+	n := 2 + c.joints()*jointWireLen // format tag + codec version, joints
 	if c.HasFingers {
 		n += 10
 	}
@@ -194,9 +200,23 @@ func (c *Codec) WireLen() int {
 	return n
 }
 
-// Encode serializes the codec's feature subset of p.
-func (c *Codec) Encode(p *Pose) []byte {
-	out := make([]byte, c.WireLen())
+// joints is the number of wire joints: head, torso, both hands when the
+// codec has arms, and the extra body joints.
+func (c *Codec) joints() int {
+	n := 2 + c.BodyJoints
+	if c.HasArms {
+		n += 2
+	}
+	return n
+}
+
+// AppendEncode appends the codec's encoding of p's feature subset to dst
+// and returns the extended slice. It allocates only when dst lacks the
+// capacity for WireLen more bytes.
+func (c *Codec) AppendEncode(dst []byte, p *Pose) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, c.WireLen())...)
+	out := dst[start:]
 	out[0] = 0xA7 // format tag
 	out[1] = 1    // version
 	off := 2
@@ -228,44 +248,55 @@ func (c *Codec) Encode(p *Pose) []byte {
 			out[off+i] = p.Face[i]
 		}
 	}
-	return out
+	return dst
 }
 
 var errBadAvatar = errors.New("avatar: malformed pose payload")
 
-// Decode parses a payload produced by the same codec.
-func (c *Codec) Decode(b []byte) (*Pose, error) {
+// Decode parses a payload produced by the same codec into p, overwriting
+// every field: features the codec does not carry come back zero (Hands,
+// Fingers) or empty (Body, Face), and Body and Face reuse p's existing
+// capacity, so decoding into a reused Pose allocates nothing. It accepts
+// exactly the image of AppendEncode (the codec hardening contract,
+// DESIGN §4.10). On error p is left unchanged.
+func (c *Codec) Decode(b []byte, p *Pose) error {
 	if len(b) != c.WireLen() || b[0] != 0xA7 || b[1] != 1 {
-		return nil, errBadAvatar
+		return errBadAvatar
 	}
-	p := &Pose{}
+	for off := 2; off < 2+c.joints()*jointWireLen; off += jointWireLen {
+		if !rotEncodable(b[off:]) {
+			return errBadAvatar
+		}
+	}
 	off := 2
 	p.Head = getJoint(b[off:])
 	off += jointWireLen
 	p.Torso = getJoint(b[off:])
 	off += jointWireLen
+	p.Hands = [2]Joint{}
 	if c.HasArms {
 		p.Hands[0] = getJoint(b[off:])
 		off += jointWireLen
 		p.Hands[1] = getJoint(b[off:])
 		off += jointWireLen
 	}
-	if c.BodyJoints > 0 {
+	if cap(p.Body) >= c.BodyJoints {
+		p.Body = p.Body[:c.BodyJoints]
+	} else {
 		p.Body = make([]Joint, c.BodyJoints)
-		for i := range p.Body {
-			p.Body[i] = getJoint(b[off:])
-			off += jointWireLen
-		}
 	}
+	for i := range p.Body {
+		p.Body[i] = getJoint(b[off:])
+		off += jointWireLen
+	}
+	p.Fingers = [2][5]uint8{}
 	if c.HasFingers {
 		copy(p.Fingers[0][:], b[off:off+5])
 		copy(p.Fingers[1][:], b[off+5:off+10])
 		off += 10
 	}
-	if c.FaceCoeffs > 0 {
-		p.Face = append([]uint8(nil), b[off:off+c.FaceCoeffs]...)
-	}
-	return p, nil
+	p.Face = append(p.Face[:0], b[off:off+c.FaceCoeffs]...)
+	return nil
 }
 
 // The five platform embodiments, calibrated against Table 3's avatar

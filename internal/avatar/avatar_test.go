@@ -37,12 +37,12 @@ func TestCodecRoundTripAllPlatforms(t *testing.T) {
 	codecs := []*Codec{AltspaceVRCodec, HubsCodec, RecRoomCodec, VRChatCodec, WorldsCodec}
 	src := samplePose()
 	for _, c := range codecs {
-		b := c.Encode(src)
+		b := c.AppendEncode(nil, src)
 		if len(b) != c.WireLen() {
 			t.Fatalf("%s: encoded %d bytes, WireLen %d", c.Name, len(b), c.WireLen())
 		}
-		got, err := c.Decode(b)
-		if err != nil {
+		got := &Pose{}
+		if err := c.Decode(b, got); err != nil {
 			t.Fatalf("%s: decode: %v", c.Name, err)
 		}
 		// Head position survives quantization to ~1mm.
@@ -79,16 +79,17 @@ func TestCodecRoundTripAllPlatforms(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptPayloads(t *testing.T) {
-	b := VRChatCodec.Encode(samplePose())
-	if _, err := VRChatCodec.Decode(b[:len(b)-1]); err == nil {
+	b := VRChatCodec.AppendEncode(nil, samplePose())
+	var p Pose
+	if err := VRChatCodec.Decode(b[:len(b)-1], &p); err == nil {
 		t.Fatal("short payload accepted")
 	}
 	bad := append([]byte(nil), b...)
 	bad[0] = 0
-	if _, err := VRChatCodec.Decode(bad); err == nil {
+	if err := VRChatCodec.Decode(bad, &p); err == nil {
 		t.Fatal("bad tag accepted")
 	}
-	if _, err := WorldsCodec.Decode(b); err == nil {
+	if err := WorldsCodec.Decode(b, &p); err == nil {
 		t.Fatal("cross-codec decode accepted")
 	}
 }
@@ -153,9 +154,9 @@ func TestPropertyQuantizationBounded(t *testing.T) {
 		// Restrict to the representable room size.
 		clip := func(v float64) float64 { return math.Mod(v, 20) }
 		src := &Pose{Head: Joint{Pos: [3]float64{clip(x), clip(y), clip(z)}, Rot: QuatFromYawDeg(math.Mod(yaw, 180))}}
-		b := AltspaceVRCodec.Encode(src)
-		got, err := AltspaceVRCodec.Decode(b)
-		if err != nil {
+		b := AltspaceVRCodec.AppendEncode(nil, src)
+		got := &Pose{}
+		if err := AltspaceVRCodec.Decode(b, got); err != nil {
 			return false
 		}
 		for i := 0; i < 3; i++ {

@@ -29,7 +29,7 @@ func TestWireFidelityAcrossFabric(t *testing.T) {
 		}
 	})
 	var got *packet.Packet
-	h2.Handler = func(p *packet.Packet) { got = p }
+	h2.Handler = func(p *packet.Packet) { got = p.Clone() }
 
 	n.Send(h1, udpTo(h2.Addr, []byte("fidelity-check")))
 	n.Sched.Run()
@@ -114,6 +114,42 @@ func TestPacketOwnershipAfterSend(t *testing.T) {
 	gotPayload := down[len(down)-len(want):]
 	if !bytes.Equal(gotPayload, want) {
 		t.Fatalf("delivered payload reflects post-Send mutation: %q", gotPayload)
+	}
+}
+
+// TestSenderReusesPacketStruct: Send copies the header as well as the
+// payload, so a sender may reuse one Packet and one UDP struct for
+// back-to-back sends while the first is still in flight. Each packet is
+// delivered with its own header, and the in-flight TTL decrements touch
+// only the fabric's copy.
+func TestSenderReusesPacketStruct(t *testing.T) {
+	n, h1, h2, _, _ := buildTestNet(t)
+	type seen struct {
+		port    uint16
+		ttl     uint8
+		payload string
+	}
+	var got []seen
+	h2.Handler = func(p *packet.Packet) {
+		got = append(got, seen{p.UDP.DstPort, p.IP.TTL, string(p.Payload)})
+	}
+	pkt := udpTo(h2.Addr, []byte("first"))
+	n.Send(h1, pkt)
+	pkt.UDP.DstPort = 2001
+	pkt.Payload = []byte("second")
+	n.Send(h1, pkt)
+	n.Sched.Run()
+	want := []seen{{2000, DefaultTTL - 3, "first"}, {2001, DefaultTTL - 3, "second"}}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d packets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("packet %d delivered as %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if pkt.IP.TTL != DefaultTTL {
+		t.Fatalf("sender's TTL = %d after delivery, want %d untouched", pkt.IP.TTL, DefaultTTL)
 	}
 }
 
@@ -212,7 +248,7 @@ func TestManySiteRouting(t *testing.T) {
 	}
 
 	var got *packet.Packet
-	b.Handler = func(p *packet.Packet) { got = p }
+	b.Handler = func(p *packet.Packet) { got = p.Clone() }
 	n.Send(a, udpTo(b.Addr, []byte("long-haul")))
 	s.Run()
 	if got == nil {

@@ -653,14 +653,20 @@ func (n *Network) ResolveAnycast(addr packet.Addr, from *Site) (*Host, bool) {
 	return best, best != nil
 }
 
-// fwdState carries one in-flight packet across its hops: the decoded packet,
-// the single wire serialization, and the route. Its step methods are bound
-// to func values once at construction, so scheduling the next hop costs no
-// closure allocation, and released states (wire buffer included) are pooled
-// on the owning Network.
+// fwdState carries one in-flight packet across its hops: the fabric's own
+// copy of the packet header, the single wire serialization, and the route.
+// Its step methods are bound to func values once at construction, so
+// scheduling the next hop costs no closure allocation, and released states
+// (headers and wire buffer included) are pooled on the owning Network.
 type fwdState struct {
-	n        *Network
-	pkt      *packet.Packet
+	n *Network
+	// hdr is the in-flight packet, its headers copied by value from the
+	// sender's: its one transport layer points at udp, tcp or icmp and its
+	// Payload at the tail of wire.
+	hdr      packet.Packet
+	udp      packet.UDP
+	tcp      packet.TCP
+	icmp     packet.ICMP
 	src, dst *Host
 	path     []*Site
 	hop      int
@@ -688,30 +694,53 @@ func (n *Network) acquireFwd() *fwdState {
 	return fs
 }
 
+// copyHeader makes fs.hdr the fabric's own copy of pkt: the IP header and
+// the one transport header by value, and the payload as the tail of the
+// wire bytes just marshaled from pkt.
+func (fs *fwdState) copyHeader(pkt *packet.Packet) {
+	fs.hdr = packet.Packet{IP: pkt.IP}
+	switch {
+	case pkt.UDP != nil:
+		fs.udp = *pkt.UDP
+		fs.hdr.UDP = &fs.udp
+	case pkt.TCP != nil:
+		fs.tcp = *pkt.TCP
+		fs.hdr.TCP = &fs.tcp
+	case pkt.ICMP != nil:
+		fs.icmp = *pkt.ICMP
+		fs.hdr.ICMP = &fs.icmp
+	}
+	if k := len(pkt.Payload); k > 0 {
+		fs.hdr.Payload = fs.wire[fs.size-k : fs.size : fs.size]
+	}
+}
+
 // releaseFwd returns a terminal (delivered or dropped) state to the pool.
 // The wire buffer is kept for reuse by the next packet; taps only see it
 // during their call, per the TapFunc contract.
 func (n *Network) releaseFwd(fs *fwdState) {
 	n.fwdLive--
-	fs.pkt, fs.src, fs.dst, fs.path = nil, nil, nil, nil
+	fs.src, fs.dst, fs.path = nil, nil, nil
 	fs.hop, fs.size, fs.span = 0, 0, 0
 	n.fwdFree = append(n.fwdFree, fs)
 }
 
 // Send transmits pkt from host h. The IP source defaults to h's address
 // when unset; services answering on an anycast address set it explicitly.
-// TTL defaults to DefaultTTL when zero. Returns false if the destination is
+// TTL defaults to DefaultTTL when zero; both defaults, and the assigned IP
+// ID, are written back into pkt. Returns false if the destination is
 // unroutable (the packet is silently dropped, as the real Internet would).
 //
-// Ownership: the fabric owns pkt from the moment Send returns true. It is
-// marshaled to wire bytes exactly once, synchronously, inside Send, and
-// pkt.Payload is re-pointed at the payload bytes of that wire copy, so the
-// caller's payload buffer is free for reuse (overwrite, compaction) as soon
-// as Send returns. The Packet struct itself (notably IP.TTL, mutated per
-// hop, and IP.ID) must not be reused for another Send while in flight. The
-// receiving handler sees pkt.Payload only for the duration of its call: the
-// wire buffer goes back to the pool when the handler returns. See
-// TestPacketOwnershipAfterSend and TestReceiverPayloadOwnedByFabric.
+// Ownership: Send copies pkt and keeps no reference to it, so the caller
+// may reuse the Packet, its transport header and its payload buffer for
+// the next Send as soon as Send returns. The packet is marshaled to wire
+// bytes exactly once, synchronously, inside Send, and the fabric carries
+// its own copy of the IP and transport headers in the pooled forwarding
+// state, with Payload pointing into that wire copy. The receiving handler
+// borrows the delivered *Packet, payload included, for the duration of its
+// call: both go back to the pool when the handler returns, so a handler
+// that keeps either copies it. See TestPacketOwnershipAfterSend,
+// TestSenderReusesPacketStruct and TestReceiverPayloadOwnedByFabric.
 //
 // The capture tap sits after the uplink netem impairment — the paper's
 // vantage point (tc-netem and Wireshark on the same AP, with capture seeing
@@ -757,12 +786,11 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 	pkt.IP.ID = n.ipid
 
 	fs := n.acquireFwd()
-	fs.pkt, fs.src, fs.dst, fs.path = pkt, h, dst, path
+	fs.src, fs.dst, fs.path = h, dst, path
 	fs.wire = pkt.MarshalTo(fs.wire[:0])
 	fs.size = len(fs.wire)
-	if k := len(pkt.Payload); k > 0 {
-		pkt.Payload = fs.wire[fs.size-k : fs.size : fs.size]
-	}
+	// From here on only the fabric's copy is used, so pkt never escapes.
+	fs.copyHeader(pkt)
 	fs.span = n.Tracer.NextSpan()
 
 	now := n.Sched.Now()
@@ -770,11 +798,11 @@ func (n *Network) Send(h *Host, pkt *packet.Packet) bool {
 	h.SentBytes += fs.size
 	n.cons.Sent++
 	n.cSent.Inc()
-	n.Tracer.Packet(now, trace.KindPacketSend, fs.span, h.ID, protoName(pkt), fs.size)
+	n.Tracer.Packet(now, trace.KindPacketSend, fs.span, h.ID, protoName(&fs.hdr), fs.size)
 
 	// Uplink netem first (loss, shaping, delay)...
 	depart := now
-	if h.UpNetem.matches(pkt) {
+	if h.UpNetem.matches(&fs.hdr) {
 		d, cause := n.applyNetem(h.UpNetem, depart, fs.size, n.cNetemLossUp, n.cNetemQueueUp)
 		if cause != netemPass {
 			if cause == netemLoss {
@@ -889,7 +917,7 @@ func (fs *fwdState) emit() {
 func (fs *fwdState) forward() {
 	n := fs.n
 	site := fs.path[fs.hop]
-	pkt := fs.pkt
+	pkt := &fs.hdr
 	// Router TTL handling.
 	if pkt.IP.TTL <= 1 {
 		n.cons.DropTTL++
@@ -970,9 +998,9 @@ func (fs *fwdState) deliver() {
 		fs.n.releaseFwd(fs)
 		return
 	}
-	packet.PatchTTL(fs.wire, fs.pkt.IP.TTL)
+	packet.PatchTTL(fs.wire, fs.hdr.IP.TTL)
 	fs.n.Tracer.Packet(fs.n.Sched.Now(), trace.KindPacketDeliver, fs.span, fs.dst.ID, "deliver", fs.size)
-	fs.n.deliverWire(fs.dst, fs.pkt, fs.wire)
+	fs.n.deliverWire(fs.dst, &fs.hdr, fs.wire)
 	fs.n.releaseFwd(fs)
 }
 

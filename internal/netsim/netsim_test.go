@@ -37,7 +37,7 @@ func TestDeliveryAcrossBackbone(t *testing.T) {
 	n, h1, h2, _, _ := buildTestNet(t)
 	var got *packet.Packet
 	var at time.Duration
-	h2.Handler = func(p *packet.Packet) { got, at = p, n.Sched.Now() }
+	h2.Handler = func(p *packet.Packet) { got, at = p.Clone(), n.Sched.Now() }
 
 	if !n.Send(h1, udpTo(h2.Addr, []byte("hello"))) {
 		t.Fatal("Send returned false")

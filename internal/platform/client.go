@@ -75,6 +75,11 @@ type Client struct {
 	gestureUntil  time.Duration
 	pendingAction uint32
 
+	// Per-update scratch, reused by every avatar tick: the pose being sent,
+	// the pose last decoded from a forward, and the outgoing frame.
+	txPose, rxPose avatar.Pose
+	wire           []byte
+
 	stops    []func()
 	menuStop func()
 
@@ -392,19 +397,18 @@ func (c *Client) sendAvatar(actionID uint32, triggeredLocal time.Duration) {
 	if !c.InEvent {
 		return
 	}
-	pose := c.pose3D()
-	encoded := c.Profile.Codec.Encode(pose)
 	// The sequence number advances only on actual transmission: a tick
 	// skipped by the TCP-priority gate or the recovery loop is a rate
 	// reduction, not wire loss, and must not read as a gap downstream.
-	am := avatarMsg{Seq: c.seq + 1, ActionID: actionID, SentAtUs: int64(c.ReadClock() / time.Microsecond), Pose: encoded}
+	am := avatarMsg{Seq: c.seq + 1, ActionID: actionID, SentAtUs: int64(c.ReadClock() / time.Microsecond)}
+	c.wire = c.Profile.Codec.AppendEncode(appendAvatar(c.wire[:0], am), c.pose3D())
 	if actionID != 0 {
 		c.Dep.Trace(actionID).SentAt = c.Dep.Sched.Now()
 		c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(actionID), c.Host.ID, "send")
 		_ = triggeredLocal
 	}
 	if c.Profile.WebData {
-		body, err := jsonEnvelope(marshalAvatar(am))
+		body, err := jsonEnvelope(c.wire)
 		if err != nil {
 			// A pose too large for the envelope's 16-bit length prefix:
 			// drop the update (a rate reduction, like the send gates above)
@@ -416,13 +420,14 @@ func (c *Client) sendAvatar(actionID uint32, triggeredLocal time.Duration) {
 		c.seq++
 		return
 	}
-	if c.sendData(marshalAvatar(am)) {
+	if c.sendData(c.wire) {
 		c.seq++
 	}
 }
 
-// pose3D builds the tracked 3D pose from the user's 2D world pose, with
-// idle hand sway and the active gesture applied.
+// pose3D fills the client's tx pose from the user's 2D world pose, with
+// idle hand sway and the active gesture applied, and returns it. The pose
+// is overwritten by the next tick.
 func (c *Client) pose3D() *avatar.Pose {
 	wp, _ := c.space.PoseOf(c.User)
 	rot := avatar.QuatFromYawDeg(wp.Yaw)
@@ -433,14 +438,20 @@ func (c *Client) pose3D() *avatar.Pose {
 			wp.Pos.Y + c.rng.Float64()*0.1 - 0.05,
 		}
 	}
-	p := &avatar.Pose{
-		Head:  avatar.Joint{Pos: [3]float64{wp.Pos.X, 1.7, wp.Pos.Y}, Rot: rot},
-		Torso: avatar.Joint{Pos: [3]float64{wp.Pos.X, 1.2, wp.Pos.Y}, Rot: rot},
-		Hands: [2]avatar.Joint{{Pos: sway(), Rot: rot}, {Pos: sway(), Rot: rot}},
-		Face:  make([]uint8, 104),
-	}
+	p := &c.txPose
+	p.Head = avatar.Joint{Pos: [3]float64{wp.Pos.X, 1.7, wp.Pos.Y}, Rot: rot}
+	p.Torso = avatar.Joint{Pos: [3]float64{wp.Pos.X, 1.2, wp.Pos.Y}, Rot: rot}
+	p.Hands[0] = avatar.Joint{Pos: sway(), Rot: rot}
+	p.Hands[1] = avatar.Joint{Pos: sway(), Rot: rot}
+	p.Body = p.Body[:0]
 	for i := 0; i < c.Profile.Codec.BodyJoints; i++ {
 		p.Body = append(p.Body, avatar.Joint{Pos: sway(), Rot: rot})
+	}
+	p.Fingers = [2][5]uint8{}
+	if p.Face == nil {
+		p.Face = make([]uint8, 104)
+	} else {
+		clear(p.Face)
 	}
 	if c.gesture != avatar.GestureNone && c.Dep.Sched.Now() < c.gestureUntil {
 		p.ApplyGesture(c.gesture)
@@ -529,10 +540,11 @@ func (c *Client) handleForward(f forwardMsg) {
 		r = &remoteAvatar{}
 		c.remotes[f.User] = r
 	}
-	if pose, err := c.Profile.Codec.Decode(f.Pose); err == nil {
+	if err := c.Profile.Codec.Decode(f.Pose, &c.rxPose); err == nil {
+		head := c.rxPose.Head
 		r.pose = world.Pose{
-			Pos: world.Vec2{X: pose.Head.Pos[0], Y: pose.Head.Pos[2]},
-			Yaw: world.NormalizeDeg(pose.Head.Rot.YawDeg()),
+			Pos: world.Vec2{X: head.Pos[0], Y: head.Pos[2]},
+			Yaw: world.NormalizeDeg(head.Rot.YawDeg()),
 		}
 	}
 	r.lastAt = now
@@ -542,10 +554,10 @@ func (c *Client) handleForward(f forwardMsg) {
 	// this client's CPU and uplink (§8.1).
 	c.trackLoss(&r.lastSeq, f.Seq)
 
-	if f.ActionID != 0 {
-		rt := c.Dep.Trace(f.ActionID).Receiver(c.User)
+	if id := f.ActionID; id != 0 {
+		rt := c.Dep.Trace(id).Receiver(c.User)
 		rt.ReceivedAt = now
-		c.Dep.Net.Tracer.Action(now, uint64(f.ActionID), c.Host.ID, "recv")
+		c.Dep.Net.Tracer.Action(now, uint64(id), c.Host.ID, "recv")
 		L := c.Profile.Latency
 		n := len(c.remotes) + 1
 		procMs := L.ReceiverMs + L.PerUserReceiverMs*float64(max(0, n-2)) + c.rng.NormFloat64()*L.ReceiverJitterMs*0.8
@@ -559,9 +571,9 @@ func (c *Client) handleForward(f forwardMsg) {
 		c.Dep.Sched.After(delay, func() {
 			rt.DisplayedAtLocal = c.ReadClock()
 			rt.Displayed = true
-			c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(f.ActionID), c.Host.ID, "display")
+			c.Dep.Net.Tracer.Action(c.Dep.Sched.Now(), uint64(id), c.Host.ID, "display")
 			if c.OnActionDisplayed != nil {
-				c.OnActionDisplayed(f.ActionID, rt.DisplayedAtLocal)
+				c.OnActionDisplayed(id, rt.DisplayedAtLocal)
 			}
 		})
 	}

@@ -41,11 +41,11 @@ func checkParseAvatar(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	wiretest.AssertRemarshal(t, data, marshalAvatar(am))
+	wiretest.AssertRemarshal(t, data, appendAvatar(nil, am))
 }
 
 func FuzzParseAvatar(f *testing.F) {
-	f.Add(marshalAvatar(avatarMsg{Seq: 1, ActionID: 2, SentAtUs: 3, Pose: []byte{4}}))
+	f.Add(appendAvatar(nil, avatarMsg{Seq: 1, ActionID: 2, SentAtUs: 3, Pose: []byte{4}}))
 	f.Fuzz(checkParseAvatar)
 }
 
@@ -127,7 +127,7 @@ func checkJSONEnvelope(t *testing.T, data []byte) {
 }
 
 func FuzzJSONEnvelope(f *testing.F) {
-	seed, _ := jsonEnvelope(marshalAvatar(avatarMsg{Seq: 1}))
+	seed, _ := jsonEnvelope(appendAvatar(nil, avatarMsg{Seq: 1}))
 	f.Add(seed)
 	f.Fuzz(checkJSONEnvelope)
 }

@@ -35,7 +35,8 @@ func TestGestureDrivesRemoteExpression(t *testing.T) {
 		if err != nil || f.User != "u1" {
 			continue
 		}
-		if pose, err := codec.Decode(f.Pose); err == nil && r.TS > 10*time.Second {
+		var pose avatar.Pose
+		if err := codec.Decode(f.Pose, &pose); err == nil && r.TS > 10*time.Second {
 			lastFace = pose.Face
 			lastFingers = pose.Fingers
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"github.com/svrlab/svrlab/internal/avatar"
 	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/secure"
@@ -26,6 +27,10 @@ type Backend struct {
 	// decimation, when set, rate-limits forwards between distant avatars
 	// (the §6.2 ablation).
 	decimation *DecimationPolicy
+
+	// rxPose is the decode scratch for every avatar upload, overwritten by
+	// the next one.
+	rxPose avatar.Pose
 }
 
 func newBackend(d *Deployment, p *Profile) *Backend {
@@ -254,19 +259,23 @@ func (b *Backend) handleAvatarUpload(m *Member, am avatarMsg, private bool) {
 	p := b.profile
 	// The server decodes the pose to track position/orientation (needed
 	// for the viewport filter and room state).
-	if pose, err := p.Codec.Decode(am.Pose); err == nil {
+	if err := p.Codec.Decode(am.Pose, &b.rxPose); err == nil {
+		head := b.rxPose.Head
 		m.prevPose, m.prevAt = m.pose, m.poseAt
 		m.pose = world.Pose{
-			Pos: world.Vec2{X: pose.Head.Pos[0], Y: pose.Head.Pos[2]},
-			Yaw: world.NormalizeDeg(pose.Head.Rot.YawDeg()),
+			Pos: world.Vec2{X: head.Pos[0], Y: head.Pos[2]},
+			Yaw: world.NormalizeDeg(head.Rot.YawDeg()),
 		}
 		m.poseAt = b.dep.Sched.Now()
 	}
-	m.lastSeq = am.Seq
+	// am.Pose is borrowed from the received frame: the deferred fan-out
+	// below keeps only these scalars and the forward frame built now.
+	seq, actionID := am.Seq, am.ActionID
+	m.lastSeq = seq
 
-	if am.ActionID != 0 {
-		b.dep.Trace(am.ActionID).ServerInAt = b.dep.Sched.Now()
-		b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(am.ActionID), b.traceTrack(m), "server_in")
+	if actionID != 0 {
+		b.dep.Trace(actionID).ServerInAt = b.dep.Sched.Now()
+		b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(actionID), b.traceTrack(m), "server_in")
 	}
 
 	room := m.room
@@ -288,10 +297,10 @@ func (b *Backend) handleAvatarUpload(m *Member, am avatarMsg, private bool) {
 			return
 		}
 	}
-	b.dep.Sched.After(delay, func() {
-		if am.ActionID != 0 {
-			b.dep.Trace(am.ActionID).ServerOutAt = b.dep.Sched.Now()
-			b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(am.ActionID), b.traceTrack(m), "server_out")
+	b.dep.Sched.PostAfter(delay, func() {
+		if actionID != 0 {
+			b.dep.Trace(actionID).ServerOutAt = b.dep.Sched.Now()
+			b.dep.Net.Tracer.Action(b.dep.Sched.Now(), uint64(actionID), b.traceTrack(m), "server_out")
 		}
 		for _, user := range room.order {
 			o := room.members[user]
@@ -318,7 +327,7 @@ func (b *Backend) handleAvatarUpload(m *Member, am avatarMsg, private bool) {
 			}
 			// Update-rate decimation for non-interacting avatars (§6.2
 			// ablation; no measured platform does this).
-			if b.decimated(m, o, am.Seq) {
+			if b.decimated(m, o, seq) {
 				continue
 			}
 			if p.WebData {
@@ -355,7 +364,7 @@ func (b *Backend) deliverCrossInstance(from, to *Member, payload []byte) {
 		return
 	}
 	// Inter-server relay: intra-site mesh hop.
-	b.dep.Sched.After(300*time.Microsecond, func() {
+	b.dep.Sched.PostAfter(300*time.Microsecond, func() {
 		if to.room != nil {
 			to.udpServer.sendTo(to.udpEP, payload)
 		}

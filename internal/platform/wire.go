@@ -85,7 +85,8 @@ func parseHello(b []byte) (helloMsg, error) {
 // avatarMsg is a pose update. ActionID marks a user action for the latency
 // rig (0 = none); SentAt is the sender's local clock in microseconds, used
 // for the end-to-end latency decomposition exactly as the paper extracts
-// timestamps from traces.
+// timestamps from traces. A parsed Pose is a borrowed view into the frame
+// it came from (DESIGN §4.13): it is valid only while that frame is.
 type avatarMsg struct {
 	Seq      uint32
 	ActionID uint32
@@ -95,14 +96,14 @@ type avatarMsg struct {
 
 const avatarHdrLen = 1 + 4 + 4 + 8
 
-func marshalAvatar(m avatarMsg) []byte {
-	out := make([]byte, avatarHdrLen+len(m.Pose))
-	out[0] = kindAvatar
-	binary.BigEndian.PutUint32(out[1:], m.Seq)
-	binary.BigEndian.PutUint32(out[5:], m.ActionID)
-	binary.BigEndian.PutUint64(out[9:], uint64(m.SentAtUs))
-	copy(out[avatarHdrLen:], m.Pose)
-	return out
+// appendAvatar appends m's wire form to dst. A sender that encodes the pose
+// straight onto the result passes m.Pose empty.
+func appendAvatar(dst []byte, m avatarMsg) []byte {
+	dst = append(dst, kindAvatar)
+	dst = binary.BigEndian.AppendUint32(dst, m.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, m.ActionID)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(m.SentAtUs))
+	return append(dst, m.Pose...)
 }
 
 func parseAvatar(b []byte) (avatarMsg, error) {
@@ -113,7 +114,7 @@ func parseAvatar(b []byte) (avatarMsg, error) {
 		Seq:      binary.BigEndian.Uint32(b[1:]),
 		ActionID: binary.BigEndian.Uint32(b[5:]),
 		SentAtUs: int64(binary.BigEndian.Uint64(b[9:])),
-		Pose:     append([]byte(nil), b[avatarHdrLen:]...),
+		Pose:     b[avatarHdrLen:],
 	}, nil
 }
 
@@ -123,16 +124,17 @@ type forwardMsg struct {
 	avatarMsg
 }
 
+// marshalForward builds a forward frame in one allocation of its own: the
+// frame outlives the caller's borrowed pose view (it waits out the server
+// delay before fan-out).
 func marshalForward(f forwardMsg) ([]byte, error) {
 	if len(f.User) > 255 {
 		return nil, errNameTooLong
 	}
-	inner := marshalAvatar(f.avatarMsg)
-	out := make([]byte, 0, 2+len(f.User)+len(inner))
+	out := make([]byte, 0, 2+len(f.User)+avatarHdrLen+len(f.Pose))
 	out = append(out, kindForward, byte(len(f.User)))
 	out = append(out, f.User...)
-	out = append(out, inner...)
-	return out, nil
+	return appendAvatar(out, f.avatarMsg), nil
 }
 
 func parseForward(b []byte) (forwardMsg, error) {

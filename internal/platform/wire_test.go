@@ -200,13 +200,13 @@ func TestWireTruncationSweeps(t *testing.T) {
 		_, err := parseHello(b)
 		return err
 	})
-	env, _ := jsonEnvelope(marshalAvatar(avatarMsg{Seq: 1, Pose: []byte{9}}))
+	env, _ := jsonEnvelope(appendAvatar(nil, avatarMsg{Seq: 1, Pose: []byte{9}}))
 	wiretest.CheckPrefixesError(t, env, func(b []byte) error {
 		_, err := fromJSONEnvelope(b)
 		return err
 	})
 
-	wiretest.CheckPrefixes(t, marshalAvatar(avatarMsg{Seq: 1, Pose: []byte{1, 2, 3}}), checkParseAvatar)
+	wiretest.CheckPrefixes(t, appendAvatar(nil, avatarMsg{Seq: 1, Pose: []byte{1, 2, 3}}), checkParseAvatar)
 	fwd, _ := marshalForward(forwardMsg{User: "u2", avatarMsg: avatarMsg{Seq: 1, Pose: []byte{4}}})
 	wiretest.CheckPrefixes(t, fwd, checkParseForward)
 	wiretest.CheckPrefixes(t, marshalSeq(seqMsg{Kind: kindVoice, Seq: 2, Size: 20}), checkParseSeq)

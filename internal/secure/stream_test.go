@@ -306,9 +306,10 @@ func TestStreamPathCorpusReplay(t *testing.T) {
 
 // TestSendMsgAllocatesPerSegmentOnly pins the stream path's allocation
 // budget: once the buffers are warm, a 1 MiB SendMsg through the fabric
-// into a MsgReader allocates only the two header objects (Packet and TCP)
-// of each segment and ACK it puts on the wire, plus a constant — no object
-// per record and no copy of the message.
+// into a MsgReader allocates a small constant number of objects — none per
+// segment or ACK (the fabric copies each packet's headers into its pooled
+// forwarding state, so transport builds them on the stack), none per
+// record, and no copy of the message.
 func TestSendMsgAllocatesPerSegmentOnly(t *testing.T) {
 	s, n, _, b, sa, sb := newStreamLab(1)
 	var srv *secure.Session
@@ -341,9 +342,9 @@ func TestSendMsgAllocatesPerSegmentOnly(t *testing.T) {
 	if got != 3+runs+1 {
 		t.Fatalf("delivered %d of %d 1 MiB messages", got, 3+runs+1)
 	}
-	const slack = 16
-	if allocs > 2*pkts+slack {
-		t.Fatalf("1 MiB SendMsg allocates %.0f objects for %.0f packets, want at most 2 per packet + %d", allocs, pkts, slack)
+	const budget = 40
+	if allocs > budget {
+		t.Fatalf("1 MiB SendMsg allocates %.0f objects for %.0f packets, want at most %d in all", allocs, pkts, budget)
 	}
 	t.Logf("%.0f allocations for %.0f packets (257 records)", allocs, pkts)
 }

@@ -54,6 +54,33 @@ func TestUDPSendReceive(t *testing.T) {
 	}
 }
 
+// TestUDPSendToAllocFree: once the fabric's forwarding states and the
+// scheduler's event pool are warm, a datagram from SendTo to the receiving
+// socket's OnRecv allocates nothing. The packet and UDP headers SendTo
+// builds stay on its stack because netsim.Send copies them.
+func TestUDPSendToAllocFree(t *testing.T) {
+	r := newRig(t)
+	srv, _ := r.sb.BindUDP(9000)
+	got := 0
+	srv.OnRecv = func(packet.Endpoint, []byte) { got++ }
+	cli, _ := r.sa.BindUDP(0)
+	dst := packet.Endpoint{Addr: r.b.Addr, Port: 9000}
+	payload := make([]byte, 40) // a Rec Room avatar update's size
+	send := func() {
+		cli.SendTo(dst, payload)
+		r.s.Run()
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("SendTo through the fabric allocates %.2f objects per datagram, want 0", allocs)
+	}
+	if got != 64+201 { // AllocsPerRun adds one warm-up call
+		t.Fatalf("delivered %d datagrams, want %d", got, 64+201)
+	}
+}
+
 func TestUDPPortConflict(t *testing.T) {
 	r := newRig(t)
 	if _, err := r.sa.BindUDP(5000); err != nil {
@@ -67,7 +94,7 @@ func TestUDPPortConflict(t *testing.T) {
 func TestUDPClosedPortGeneratesUnreachable(t *testing.T) {
 	r := newRig(t)
 	var gotICMP *packet.Packet
-	r.sa.ICMPHandler = func(p *packet.Packet) { gotICMP = p }
+	r.sa.ICMPHandler = func(p *packet.Packet) { gotICMP = p.Clone() }
 	cli, _ := r.sa.BindUDP(0)
 	cli.SendTo(packet.Endpoint{Addr: r.b.Addr, Port: 4444}, []byte("probe"))
 	r.s.Run()
@@ -104,7 +131,7 @@ func TestICMPEchoReply(t *testing.T) {
 	var reply *packet.Packet
 	r.sa.ICMPHandler = func(p *packet.Packet) {
 		if p.ICMP.Type == packet.ICMPEchoReply {
-			reply = p
+			reply = p.Clone()
 		}
 	}
 	r.net.Send(r.a, &packet.Packet{

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/svrlab/svrlab/internal/avatar"
 	"github.com/svrlab/svrlab/internal/capture"
 	"github.com/svrlab/svrlab/internal/packet"
 	"github.com/svrlab/svrlab/internal/secure"
@@ -88,19 +89,39 @@ func corpora(root string) map[string][][]byte {
 	// --- platform data-channel frames (unexported marshalers: the layouts
 	// below mirror internal/platform/wire.go byte for byte) ----------------
 	hello := []byte{1 /*kindHello*/, 4, 'r', 'o', 'o', 'm', 2, 'u', '1'}
-	avatar := make([]byte, 17+3)
-	avatar[0] = 2                                 // kindAvatar
-	binary.BigEndian.PutUint32(avatar[1:], 9)     // seq
-	binary.BigEndian.PutUint32(avatar[5:], 1)     // action id
-	binary.BigEndian.PutUint64(avatar[9:], 12345) // sent-at µs
-	copy(avatar[17:], []byte{7, 8, 9})            // pose
-	forward := append([]byte{5 /*kindForward*/, 2, 'u', '2'}, avatar...)
+	avatarFrame := make([]byte, 17+3)
+	avatarFrame[0] = 2                                 // kindAvatar
+	binary.BigEndian.PutUint32(avatarFrame[1:], 9)     // seq
+	binary.BigEndian.PutUint32(avatarFrame[5:], 1)     // action id
+	binary.BigEndian.PutUint64(avatarFrame[9:], 12345) // sent-at µs
+	copy(avatarFrame[17:], []byte{7, 8, 9})            // pose
+	forward := append([]byte{5 /*kindForward*/, 2, 'u', '2'}, avatarFrame...)
 	seqVoice := append([]byte{3 /*kindVoice*/, 0, 0, 0, 5}, make([]byte, 40)...)
 	seqKeep := []byte{11 /*kindKeepalive*/, 0, 0, 0, 1}
 	voiceFwd := append([]byte{10 /*kindVoiceFwd*/, 2, 'u', '2'}, seqVoice...)
-	envelope := jsonEnvelope(avatar)
+	envelope := jsonEnvelope(avatarFrame)
 	ctrlReq := append([]byte{1 /*reqLogin*/, 2, 'u', '1', 6, 'r', 'o', 'o', 'm', '-', '1'}, 0xde, 0xad)
 	ctrlAsset := []byte{5 /*reqAsset*/, 2, 'u', '1', 0, 0x00, 0x00, 0x40, 0x00}
+
+	// --- avatar: pose payloads, each behind its codec selector byte (the
+	// index into FuzzAvatarCodec's codec list) ----------------------------
+	codecs := []*avatar.Codec{avatar.AltspaceVRCodec, avatar.HubsCodec, avatar.RecRoomCodec, avatar.VRChatCodec, avatar.WorldsCodec}
+	pose := &avatar.Pose{
+		Head:    avatar.Joint{Pos: [3]float64{1.25, 1.7, -0.5}, Rot: avatar.QuatFromYawDeg(45)},
+		Torso:   avatar.Joint{Pos: [3]float64{1.25, 1.1, -0.5}, Rot: avatar.QuatFromYawDeg(40)},
+		Hands:   [2]avatar.Joint{{Pos: [3]float64{1, 1.3, -0.3}, Rot: avatar.QuatFromYawDeg(10)}, {Pos: [3]float64{1.5, 1.3, -0.3}, Rot: avatar.QuatFromYawDeg(-10)}},
+		Body:    make([]avatar.Joint, 16),
+		Fingers: [2][5]uint8{{10, 200, 210, 220, 230}, {50, 60, 70, 80, 90}},
+		Face:    bytes.Repeat([]byte{128}, 104),
+	}
+	var poses [][]byte
+	for i, c := range codecs {
+		poses = append(poses, c.AppendEncode([]byte{byte(i)}, pose))
+	}
+	recroom := poses[2]
+	rotMin := append([]byte(nil), recroom...)
+	rotMin[1+8], rotMin[1+9] = 0x00, 0x80 // head W = −32768: outside quantRot's range
+	crossCodec := append([]byte{2}, poses[4][1:]...)
 
 	// --- capture: pcap files from the real writer -------------------------
 	var pcapBuf bytes.Buffer
@@ -180,17 +201,17 @@ func corpora(root string) map[string][][]byte {
 			{1, 0, 0},           // empty names
 		},
 		td("platform", "FuzzParseAvatar"): {
-			avatar,
-			avatar[:17],          // header only, empty pose
-			avatar[:10],          // truncated header
-			mutate(avatar, 0, 1), // wrong kind
+			avatarFrame,
+			avatarFrame[:17],          // header only, empty pose
+			avatarFrame[:10],          // truncated header
+			mutate(avatarFrame, 0, 1), // wrong kind
 		},
 		td("platform", "FuzzParseForward"): {
 			forward,
-			forward[:6],                     // truncated inner
-			mutate(forward, 1, 4),           // user length desync
-			mutate(forward, 4, 1),           // inner kind corrupted
-			append([]byte{5, 0}, avatar...), // empty user
+			forward[:6],                          // truncated inner
+			mutate(forward, 1, 4),                // user length desync
+			mutate(forward, 4, 1),                // inner kind corrupted
+			append([]byte{5, 0}, avatarFrame...), // empty user
 		},
 		td("platform", "FuzzParseSeq"): {
 			seqVoice, seqKeep,
@@ -217,6 +238,14 @@ func corpora(root string) map[string][][]byte {
 			ctrlReq[:2],              // short
 			mutate(ctrlReq, 1, 0x7f), // user length beyond frame
 		},
+		td("avatar", "FuzzAvatarCodec"): append(poses,
+			rotMin,                       // rotation component no encoder emits
+			recroom[:len(recroom)-1],     // truncated
+			mutate(recroom, 1, 1),        // bad format tag
+			mutate(recroom, 2, 1),        // bad version
+			crossCodec,                   // Worlds payload read as Rec Room
+			mutate(recroom, 1+2+28+3, 9), // face coefficient flip (still valid)
+		),
 		td("capture", "FuzzPcapReader"): {
 			pcap,
 			pcapEmptyBuf.Bytes(),
