@@ -24,42 +24,13 @@ import (
 	"github.com/svrlab/svrlab/internal/stats"
 )
 
-// Record is one captured packet, materialized as a view over the sniffer's
-// arena and index (Sniffer.At), or as a standalone value (pcap restore,
-// tests). For sniffer-backed views, Wire aliases arena memory: it is valid
-// until the sniffer's next Clear, and must be copied to outlive it.
+// Record is one captured packet as a standalone value: the unit of the
+// pcap path (ReadPcap, WritePcap, Restore). A sniffer keeps no Records;
+// its records live in the arena and index.
 type Record struct {
 	TS   time.Duration
 	Dir  netsim.Dir
 	Wire []byte
-	// sn/idx tie a view record back to its sniffer so decode results land
-	// in the sniffer's cache (views are ephemeral values; the cache is not).
-	sn  *Sniffer
-	idx int
-	// pkt is the lazily-decoded form for standalone records
-	// (gopacket-style lazy decoding).
-	pkt *packet.Packet
-	// undecodable caches a failed decode so malformed wire bytes are
-	// parsed at most once, however often analysis revisits the record.
-	undecodable bool
-}
-
-// Packet decodes the record (cached). Undecodable records return nil.
-// Sniffer-backed records cache the decode in the sniffer, so repeated At
-// calls for the same index return the same *Packet; Clear drops the cache.
-func (r *Record) Packet() *packet.Packet {
-	if r.sn != nil {
-		return r.sn.cachedPacket(r.idx)
-	}
-	if r.pkt == nil && !r.undecodable {
-		p, err := packet.Decode(r.Wire)
-		if err != nil {
-			r.undecodable = true
-			return nil
-		}
-		r.pkt = p
-	}
-	return r.pkt
 }
 
 // recMeta bits: direction and tap-time classification outcome.
@@ -107,10 +78,6 @@ type Sniffer struct {
 
 	// arena holds the wire bytes the index points into.
 	arena arena
-
-	// pkts is the decoded-packet cache behind the Record view API,
-	// allocated lazily on first use and dropped by Clear.
-	pkts []*packet.Packet
 
 	// scratch holds one reusable decode target per protocol class for
 	// Filter evaluation, so filtering same-protocol runs of traffic
@@ -186,50 +153,20 @@ func (s *Sniffer) dirAt(i int) netsim.Dir {
 // Len returns the number of captured records.
 func (s *Sniffer) Len() int { return len(s.ts) }
 
-// At materializes a view of record i. The view's Wire aliases the arena and
-// is invalidated by Clear; its Packet method caches decodes in the sniffer.
-func (s *Sniffer) At(i int) Record {
-	return Record{TS: s.ts[i], Dir: s.dirAt(i), Wire: s.wireAt(i), sn: s, idx: i}
-}
-
+// wireAt returns record i's wire bytes; they alias the arena until the
+// next Clear.
 func (s *Sniffer) wireAt(i int) []byte {
 	p := s.pos[i]
 	return s.arena.chunks[p.chunk][p.off : p.off+p.wlen : p.off+p.wlen]
 }
 
-// cachedPacket decodes record i into the sniffer's decoded-packet cache
-// (fresh heap packet, stable pointer across calls). Records whose tap-time
-// classification failed are undecodable by construction and return nil
-// without re-running the decoder.
-func (s *Sniffer) cachedPacket(i int) *packet.Packet {
-	if s.meta[i]&metaValid == 0 {
-		return nil
-	}
-	if s.pkts == nil {
-		s.pkts = make([]*packet.Packet, s.Len())
-	}
-	for len(s.pkts) < s.Len() { // records ingested since the cache was made
-		s.pkts = append(s.pkts, nil)
-	}
-	if s.pkts[i] == nil {
-		p, err := packet.Decode(s.wireAt(i))
-		if err != nil {
-			return nil // unreachable while PeekFlow mirrors Decode
-		}
-		s.pkts[i] = p
-	}
-	return s.pkts[i]
-}
-
 // scratchPacket decodes record i into the per-protocol scratch for a
-// Filter callback — zero allocations in steady state. Returns the cached
-// heap packet instead when the view API already decoded this record.
+// Filter callback — zero allocations in steady state. Records whose
+// tap-time classification failed are undecodable by construction and
+// return nil without re-running the decoder.
 func (s *Sniffer) scratchPacket(i int) *packet.Packet {
 	if s.meta[i]&metaValid == 0 {
 		return nil
-	}
-	if s.pkts != nil && i < len(s.pkts) && s.pkts[i] != nil {
-		return s.pkts[i]
 	}
 	var k int
 	switch s.key[i].proto {
@@ -255,15 +192,12 @@ func (s *Sniffer) Pause() { s.active = false }
 // Resume restarts recording.
 func (s *Sniffer) Resume() { s.active = true }
 
-// Clear discards captured records: arena chunks go back to the shared pool,
-// the decoded-packet cache is dropped, and the index columns are truncated
-// in place (capacity retained, so a long session clearing between
-// measurement phases re-captures without reallocating its index). After
-// Clear, previously obtained Record views and scratch packets are invalid —
-// their Wire/Payload alias recycled chunks.
+// Clear discards captured records: arena chunks go back to the shared pool
+// and the index columns are truncated in place (capacity retained, so a
+// long session clearing between measurement phases re-captures without
+// reallocating its index).
 func (s *Sniffer) Clear() {
 	s.arena.release()
-	s.pkts = nil
 	s.ts = s.ts[:0]
 	s.meta = s.meta[:0]
 	s.pos = s.pos[:0]
@@ -324,21 +258,8 @@ func FilterAnd(fs ...func(*packet.Packet) bool) func(*packet.Packet) bool {
 	}
 }
 
-func (m Match) accepts(r *Record) bool {
-	if m.DirSet && r.Dir != m.Dir {
-		return false
-	}
-	if m.Filter != nil {
-		p := r.Packet()
-		if p == nil || !m.Filter(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// acceptsIdx is the index-driven accepts: direction from the dirs column,
-// decode (into scratch) only when a Filter has to see payload.
+// acceptsIdx reports whether record i satisfies m: direction from the meta
+// column, decode (into scratch) only when a Filter has to see payload.
 func (s *Sniffer) acceptsIdx(i int, m Match) bool {
 	if m.DirSet && s.dirAt(i) != m.Dir {
 		return false

@@ -57,18 +57,15 @@ func TestCaptureRecordsBothDirections(t *testing.T) {
 	if r.sniff.Len() != 2 {
 		t.Fatalf("records = %d, want 2", r.sniff.Len())
 	}
-	if r.sniff.At(0).Dir != netsim.DirUp || r.sniff.At(1).Dir != netsim.DirDown {
+	if r.sniff.Packets(MatchUp(nil), 0, 1500*time.Millisecond) != 1 ||
+		r.sniff.Packets(MatchDown(nil), 1500*time.Millisecond, time.Hour) != 1 {
 		t.Fatal("directions wrong")
 	}
-	rec := r.sniff.At(0)
-	p := rec.Packet()
-	if p == nil || p.UDP == nil {
+	// Both records decode, each into its own transport header.
+	isUDP := func(p *packet.Packet) bool { return p.UDP != nil && p.UDP.DstPort == 2000 }
+	isTCP := func(p *packet.Packet) bool { return p.TCP != nil && p.TCP.SrcPort == 443 }
+	if r.sniff.Packets(MatchUp(isUDP), 0, time.Hour) != 1 || r.sniff.Packets(MatchDown(isTCP), 0, time.Hour) != 1 {
 		t.Fatal("decode failed")
-	}
-	// Cached decode returns the same pointer, even across fresh views.
-	again := r.sniff.At(0)
-	if p != rec.Packet() || p != again.Packet() {
-		t.Fatal("decode not cached")
 	}
 }
 
@@ -220,36 +217,33 @@ func mkWire(payload int) []byte {
 }
 
 func TestUndecodableRecordCachesFailure(t *testing.T) {
+	calls := 0
+	seen := Match{Filter: func(*packet.Packet) bool { calls++; return true }}
 	s := NewSniffer()
 	s.ingest(0, netsim.DirUp, []byte{0xde, 0xad})
-	bad := s.At(0)
-	if bad.Packet() != nil {
-		t.Fatal("garbage wire decoded")
-	}
 	// The failure is cached at ingest (the tap-time classification): the
-	// validity column marks the record undecodable, so Packet never runs
-	// the decoder for it, and no decoded-packet cache is materialized.
-	if bad.Packet() != nil {
-		t.Fatal("decode re-attempted after a cached failure")
+	// validity column marks the record undecodable, so filtered queries
+	// never run the decoder for it and the filter never sees it.
+	if s.meta[0]&metaValid != 0 {
+		t.Fatal("garbage wire classified as valid")
 	}
-	if s.pkts != nil {
-		t.Fatal("undecodable record materialized the decode cache")
+	for k := 0; k < 2; k++ {
+		if got := s.Packets(seen, 0, time.Hour); got != 0 || calls != 0 {
+			t.Fatalf("garbage wire matched %d records, filter ran %d times", got, calls)
+		}
 	}
-	// A fresh record with valid bytes decodes fine (the cache is
+	// A fresh record with valid bytes decodes fine (the failure is
 	// per-record, not global).
 	s.ingest(0, netsim.DirUp, mkWire(10))
-	good := s.At(1)
-	if good.Packet() == nil {
-		t.Fatal("valid wire failed to decode")
+	if got := s.Packets(seen, 0, time.Hour); got != 1 || calls != 1 {
+		t.Fatalf("valid wire matched %d records, filter ran %d times", got, calls)
 	}
-	// A standalone record (pcap restore path) behaves the same way.
-	standalone := Record{TS: 0, Wire: []byte{0xde, 0xad}}
-	if standalone.Packet() != nil {
-		t.Fatal("standalone garbage wire decoded")
-	}
-	standalone.Wire = mkWire(10)
-	if standalone.Packet() != nil {
-		t.Fatal("standalone record re-ran a cached failed decode")
+	// Standalone records (the pcap restore path) are classified the same
+	// way.
+	calls = 0
+	restored := Restore([]Record{{Wire: []byte{0xde, 0xad}}, {Wire: mkWire(10)}})
+	if got := restored.Packets(seen, 0, time.Hour); got != 1 || calls != 1 {
+		t.Fatalf("restored records matched %d, filter ran %d times", got, calls)
 	}
 }
 
@@ -261,22 +255,14 @@ func TestClearReleasesCapturedMemory(t *testing.T) {
 	if r.sniff.Len() != 2 {
 		t.Fatalf("records = %d", r.sniff.Len())
 	}
-	// Decode one so both arena chunks and a decoded packet are held.
-	first := r.sniff.At(0)
-	if first.Packet() == nil {
-		t.Fatal("decode failed")
-	}
-	if len(r.sniff.arena.chunks) == 0 || r.sniff.pkts == nil {
-		t.Fatal("capture did not populate arena/decode cache")
+	if len(r.sniff.arena.chunks) == 0 {
+		t.Fatal("capture did not populate the arena")
 	}
 	r.sniff.Clear()
 	// Clear must release everything that pins capture memory: the arena
-	// chunks go back to the pool and the decoded-packet cache is dropped.
+	// chunks go back to the pool.
 	if len(r.sniff.arena.chunks) != 0 {
 		t.Fatalf("Clear retained %d arena chunks", len(r.sniff.arena.chunks))
-	}
-	if r.sniff.pkts != nil {
-		t.Fatal("Clear retained the decoded-packet cache")
 	}
 	// The sniffer keeps capturing after Clear.
 	r.sendUDP(3*time.Second, 25)
@@ -284,8 +270,8 @@ func TestClearReleasesCapturedMemory(t *testing.T) {
 	if r.sniff.Len() != 1 {
 		t.Fatalf("post-Clear records = %d, want 1", r.sniff.Len())
 	}
-	post := r.sniff.At(0)
-	if p := post.Packet(); p == nil || p.UDP == nil {
+	isUDP := Match{Filter: func(p *packet.Packet) bool { return p.UDP != nil }}
+	if r.sniff.Packets(isUDP, 0, time.Hour) != 1 {
 		t.Fatal("post-Clear record did not decode")
 	}
 }
@@ -295,7 +281,7 @@ func TestClearReleasesCapturedMemory(t *testing.T) {
 // timestamps, and out-of-range windows.
 func TestWindowQueriesMatchFullScanOracle(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	s := NewSniffer()
+	var recs []Record
 	// Nondecreasing timestamps with duplicates sitting exactly on window
 	// and bucket edges.
 	for _, spec := range []struct {
@@ -312,24 +298,26 @@ func TestWindowQueriesMatchFullScanOracle(t *testing.T) {
 		{ms(30), netsim.DirUp, 70},
 		{ms(100), netsim.DirDown, 80},
 	} {
-		s.ingest(spec.ts, spec.dir, mkWire(spec.pay))
+		recs = append(recs, Record{TS: spec.ts, Dir: spec.dir, Wire: mkWire(spec.pay)})
+	}
+	s := NewSniffer()
+	for _, r := range recs {
+		s.ingest(r.TS, r.Dir, r.Wire)
 	}
 
 	oracleBytes := func(m Match, from, to time.Duration) int {
 		total := 0
-		for i := 0; i < s.Len(); i++ {
-			r := s.At(i)
-			if r.TS >= from && r.TS < to && m.accepts(&r) {
-				total += len(r.Wire)
+		for i := range recs {
+			if recs[i].TS >= from && recs[i].TS < to && refAccepts(&recs[i], m) {
+				total += len(recs[i].Wire)
 			}
 		}
 		return total
 	}
 	oraclePackets := func(m Match, from, to time.Duration) int {
 		n := 0
-		for i := 0; i < s.Len(); i++ {
-			r := s.At(i)
-			if r.TS >= from && r.TS < to && m.accepts(&r) {
+		for i := range recs {
+			if recs[i].TS >= from && recs[i].TS < to && refAccepts(&recs[i], m) {
 				n++
 			}
 		}

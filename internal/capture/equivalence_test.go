@@ -84,15 +84,15 @@ func eqPacket(rng *rand.Rand) *packet.Packet {
 
 func i32(rng *rand.Rand) int { return rng.Intn(1 << 15) }
 
-// refAccepts is the reference match predicate: standalone-record decode
-// (full packet.Decode, no index shortcuts).
+// refAccepts is the reference match predicate: a full packet.Decode of
+// the record's wire bytes, no index shortcuts.
 func refAccepts(r *Record, m Match) bool {
 	if m.DirSet && r.Dir != m.Dir {
 		return false
 	}
 	if m.Filter != nil {
-		p := r.Packet()
-		if p == nil || !m.Filter(p) {
+		p, err := packet.Decode(r.Wire)
+		if err != nil || !m.Filter(p) {
 			return false
 		}
 	}
@@ -145,8 +145,8 @@ func refFlows(recs []Record, m Match) []*FlowStat {
 	byHash := make(map[uint64]*FlowStat)
 	var order []uint64
 	for i := range recs {
-		p := recs[i].Packet()
-		if p == nil || !refAccepts(&recs[i], m) {
+		p, err := packet.Decode(recs[i].Wire)
+		if err != nil || !refAccepts(&recs[i], m) {
 			continue
 		}
 		fl := packet.FlowOf(p)
@@ -177,8 +177,8 @@ func refRemoteEndpoints(recs []Record, local packet.Addr) []packet.Addr {
 	seen := make(map[packet.Addr]bool)
 	var out []packet.Addr
 	for i := range recs {
-		p := recs[i].Packet()
-		if p == nil {
+		p, err := packet.Decode(recs[i].Wire)
+		if err != nil {
 			continue
 		}
 		remote := p.IP.Dst

@@ -86,10 +86,10 @@ func (s *Sniffer) SavePcap(w io.Writer) error {
 var errPcap = errors.New("capture: malformed pcap")
 
 // ReadPcap parses a libpcap file produced by WritePcap (or any
-// little-endian, microsecond, LINKTYPE_RAW capture). Direction information
-// is not stored in pcap; restored records carry DirUp for packets whose
-// source matches localAddr-as-string heuristics being impossible here, so
-// the caller re-derives direction if needed — records default to DirDown.
+// little-endian, microsecond, LINKTYPE_RAW capture). Pcap stores no
+// direction, so every restored record carries Dir's zero value, DirUp;
+// a caller that needs directions must re-derive them, for example from
+// the addresses in the wire bytes.
 func ReadPcap(r io.Reader) ([]Record, error) {
 	hdr := make([]byte, 24)
 	if _, err := io.ReadFull(r, hdr); err != nil {

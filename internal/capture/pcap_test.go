@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/svrlab/svrlab/internal/netsim"
 	"github.com/svrlab/svrlab/internal/packet"
 )
 
@@ -21,7 +22,7 @@ func samplePacket(payload int) []byte {
 func TestPcapRoundTrip(t *testing.T) {
 	records := []Record{
 		{TS: 1500 * time.Millisecond, Wire: samplePacket(10)},
-		{TS: 2750 * time.Millisecond, Wire: samplePacket(100)},
+		{TS: 2750 * time.Millisecond, Dir: netsim.DirDown, Wire: samplePacket(100)},
 		{TS: 61 * time.Second, Wire: samplePacket(0)},
 	}
 	var buf bytes.Buffer
@@ -42,9 +43,13 @@ func TestPcapRoundTrip(t *testing.T) {
 		if !bytes.Equal(got[i].Wire, records[i].Wire) {
 			t.Fatalf("record %d wire bytes differ", i)
 		}
+		// Pcap stores no direction: restored records carry DirUp.
+		if got[i].Dir != netsim.DirUp {
+			t.Fatalf("record %d Dir = %v, want DirUp", i, got[i].Dir)
+		}
 		// Restored records decode.
-		if got[i].Packet() == nil {
-			t.Fatalf("record %d undecodable after round trip", i)
+		if _, err := packet.Decode(got[i].Wire); err != nil {
+			t.Fatalf("record %d undecodable after round trip: %v", i, err)
 		}
 	}
 }

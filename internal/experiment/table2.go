@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -114,52 +115,33 @@ func discoverServers(l *Lab, p *platform.Profile, cs []*platform.Client, sniff *
 	return ctrl, data
 }
 
+// wholeCapture is a [from, to) window that holds every captured record.
+const wholeCapture = time.Duration(math.MaxInt64)
+
 // classifyTCP inspects captured payload bytes toward a server for TLS
 // records.
 func classifyTCP(sniff *capture.Sniffer, server packet.Addr) string {
-	m := capture.Match{Filter: capture.FilterAnd(capture.FilterRemote(server), capture.FilterProto(packet.ProtoTCP))}
-	for i := 0; i < sniff.Len(); i++ {
-		r := sniff.At(i)
-		if !matchAccepts(m, &r) {
-			continue
-		}
-		pk := r.Packet()
-		if len(pk.Payload) >= 5 && (pk.Payload[0] == packet.TLSHandshake || pk.Payload[0] == packet.TLSApplicationData) &&
-			pk.Payload[1] == 3 {
-			return "HTTPS"
-		}
+	isTLS := func(pk *packet.Packet) bool {
+		return len(pk.Payload) >= 5 && (pk.Payload[0] == packet.TLSHandshake || pk.Payload[0] == packet.TLSApplicationData) &&
+			pk.Payload[1] == 3
+	}
+	m := capture.Match{Filter: capture.FilterAnd(capture.FilterRemote(server), capture.FilterProto(packet.ProtoTCP), isTLS)}
+	if sniff.Packets(m, 0, wholeCapture) > 0 {
+		return "HTTPS"
 	}
 	return "TCP"
 }
 
 // classifyUDP distinguishes RTP/RTCP streams from plain UDP.
 func classifyUDP(sniff *capture.Sniffer, server packet.Addr) string {
-	m := capture.Match{Filter: capture.FilterAnd(capture.FilterRemote(server), capture.FilterProto(packet.ProtoUDP))}
-	rtp, plain := 0, 0
-	for i := 0; i < sniff.Len(); i++ {
-		r := sniff.At(i)
-		if !matchAccepts(m, &r) {
-			continue
-		}
-		pk := r.Packet()
-		if len(pk.Payload) >= 2 && pk.Payload[0]>>6 == 2 {
-			rtp++
-		} else {
-			plain++
-		}
-	}
-	if rtp > plain {
+	toServer := capture.FilterAnd(capture.FilterRemote(server), capture.FilterProto(packet.ProtoUDP))
+	isRTP := func(pk *packet.Packet) bool { return len(pk.Payload) >= 2 && pk.Payload[0]>>6 == 2 }
+	all := sniff.Packets(capture.Match{Filter: toServer}, 0, wholeCapture)
+	rtp := sniff.Packets(capture.Match{Filter: capture.FilterAnd(toServer, isRTP)}, 0, wholeCapture)
+	if rtp > all-rtp {
 		return "RTP/RTCP"
 	}
 	return "UDP"
-}
-
-func matchAccepts(m capture.Match, r *capture.Record) bool {
-	pk := r.Packet()
-	if pk == nil {
-		return false
-	}
-	return m.Filter == nil || m.Filter(pk)
 }
 
 func probePlatform(p *platform.Profile, seed int64, reg *obs.Registry) Table2Row {

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -25,22 +26,22 @@ func TestGestureDrivesRemoteExpression(t *testing.T) {
 	sched.RunUntil(11 * time.Second)
 
 	codec := Get(Worlds).Codec
-	for i := 0; i < sniff.Len(); i++ {
-		r := sniff.At(i)
-		pk := r.Packet()
-		if pk == nil || pk.UDP == nil || len(pk.Payload) == 0 || pk.Payload[0] != kindForward {
-			continue
+	decodeU1 := func(pk *packet.Packet) bool {
+		if pk.UDP == nil || len(pk.Payload) == 0 || pk.Payload[0] != kindForward {
+			return false
 		}
 		f, err := parseForward(pk.Payload)
 		if err != nil || f.User != "u1" {
-			continue
+			return false
 		}
-		var pose avatar.Pose
-		if err := codec.Decode(f.Pose, &pose); err == nil && r.TS > 10*time.Second {
+		var pose avatar.Pose // Decode copies Face out of the borrowed payload
+		if err := codec.Decode(f.Pose, &pose); err == nil {
 			lastFace = pose.Face
 			lastFingers = pose.Fingers
 		}
+		return false
 	}
+	sniff.Packets(capture.Match{Filter: decodeU1}, 10*time.Second+time.Nanosecond, math.MaxInt64)
 	if len(lastFace) == 0 {
 		t.Fatal("no decoded forward for u1 after the gesture")
 	}

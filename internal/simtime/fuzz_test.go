@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -91,16 +92,17 @@ type schedOp struct {
 }
 
 // decodeProgram turns raw fuzz bytes into ops. Deltas use an
-// exponent+mantissa encoding so programs reach every wheel level and the
-// overflow heap: delta = mantissa << exp, exp in [0, 50), including
-// mantissa 0 for exact same-tick collisions.
+// exponent+mantissa encoding so programs reach every wheel level, up to
+// level 10 at ticks >= 2^60: delta = mantissa << exp, exp in [0, 64),
+// including mantissa 0 for exact same-tick collisions. A delta that wraps
+// past int64 becomes math.MaxInt64.
 func decodeProgram(data []byte) []schedOp {
 	var ops []schedOp
 	for len(data) >= 4 && len(ops) < 256 {
-		exp := uint(data[1]) % 50
+		exp := uint(data[1]) % 64
 		delta := time.Duration(uint64(data[2]) << exp)
-		if delta < 0 || delta > time.Duration(1)<<55 {
-			delta = time.Duration(1) << 55
+		if delta < 0 || uint64(delta)>>exp != uint64(data[2]) {
+			delta = math.MaxInt64
 		}
 		ops = append(ops, schedOp{kind: data[0] % 5, delta: delta, arg: data[3]})
 		data = data[4:]
@@ -131,12 +133,12 @@ func runProgram(ops []schedOp, useWheel bool) (log []string, final time.Duration
 		}
 		return r.now
 	}
-	// clampT keeps virtual time far from int64 overflow so both
-	// implementations see in-range, identical target times.
+	// clampT saturates virtual time at math.MaxInt64 instead of wrapping,
+	// so both implementations see in-range, identical target times.
 	clampT := func(d time.Duration) time.Duration {
 		t := now() + d
-		if max := time.Duration(1) << 60; t > max || t < now() {
-			t = max
+		if t < now() {
+			t = math.MaxInt64
 		}
 		return t
 	}
@@ -212,13 +214,18 @@ func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{0, 10, 7, 0, 1, 20, 3, 0, 3, 15, 1, 0, 0, 45, 9, 0})
 	// Cancel-heavy churn.
 	f.Add([]byte{0, 12, 5, 0, 0, 12, 6, 0, 2, 0, 0, 1, 0, 30, 2, 0, 2, 0, 0, 0})
-	// Far-future overflow traffic plus dispatch-time child schedules.
+	// Far-future traffic plus dispatch-time child schedules.
 	f.Add([]byte{4, 48, 200, 9, 0, 49, 255, 0, 3, 49, 255, 0, 4, 5, 3, 17})
-	// Overflow-vs-wheel same-tick tie: park an event at tick 255<<35 in the
-	// overflow heap, dispatch at 200<<35 so the cursor crosses the wheel
-	// horizon, then schedule the same tick again — it lands alone in a
-	// level-6 slot, and the overflow event (lower seq) must still win.
+	// Same far tick across a cursor crossing 2^42: file an event at tick
+	// 255<<35 from t=0, dispatch at 200<<35 so the cursor crosses the
+	// boundary, then schedule the same tick again from the moved cursor —
+	// the first event (lower seq) must still win.
 	f.Add([]byte{0, 35, 200, 0, 0, 35, 255, 0, 3, 35, 200, 0, 0, 35, 55, 0})
+	// Level 10: ticks 2^60, 3<<61 and 255<<62 (saturating to MaxInt64),
+	// a cancel of the MaxInt64 event, a run-until to 2^61, then repeated
+	// schedules that saturate at MaxInt64 and must dispatch FIFO.
+	f.Add([]byte{0, 60, 1, 0, 4, 61, 3, 5, 0, 62, 255, 0, 2, 0, 0, 2,
+		3, 61, 1, 0, 1, 63, 255, 0, 0, 63, 2, 0, 0, 50, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeProgram(data)
 		wheelLog, wheelNow := runProgram(ops, true)

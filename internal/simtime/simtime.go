@@ -7,10 +7,10 @@
 // completes in milliseconds of wall time and two runs with the same seed are
 // bit-identical.
 //
-// The event queue is a hierarchical timer wheel (wheel.go) with a binary
-// min-heap overflow for events past the wheel horizon: scheduling and
-// cancelling are O(1), and dispatch order is exactly (at, seq) — events
-// with equal firing times run in the order they were scheduled.
+// The event queue is one hierarchical timer wheel (wheel.go) whose eleven
+// levels cover every non-negative int64 tick: scheduling and cancelling
+// are O(1), and dispatch order is exactly (at, seq) — events with equal
+// firing times run in the order they were scheduled.
 package simtime
 
 import (
@@ -29,9 +29,9 @@ type Event struct {
 	// slot's doubly-linked list, so scheduling builds no container nodes
 	// and Cancel is a pointer splice.
 	next, prev *Event
-	// slot is the event's location: a wheel slot index when >= 0, slotNone
-	// when unqueued, or an encoded overflow-heap position (see heapSlot)
-	// when <= slotOverflow.
+	// slot is the index into head/tail of the wheel slot holding the
+	// event while it is queued; it is meaningless once the event fired or
+	// was cancelled.
 	slot  int32
 	fired bool // dispatched normally
 	dead  bool // cancelled before dispatch
@@ -72,18 +72,11 @@ type Scheduler struct {
 	// value now can take. The scalar fields stay ahead of the slot arrays
 	// so the per-dispatch state fits in the struct's first cache lines.
 	elapsed   uint64
-	levelMask uint32 // bit ℓ set iff level ℓ has any occupied slot
-	pending   int    // queued events across staged + wheel + overflow
-	// staged is the singleton fast path: an event enqueued into an empty
-	// queue is held here and the wheel is never touched. The drain-loop
-	// steady state (dispatch one event, schedule the next) runs entirely
-	// through this pointer. A staged event never migrates into the wheel;
-	// findMin arbitrates staged vs wheel minimum by (at, seq).
-	staged   *Event
-	overflow overflowHeap       // events past the wheel horizon
-	occupied [numLevels]uint64  // per-level slot occupancy bitmaps
-	head     [wheelSlots]*Event // per-slot list heads (FIFO within a tick)
-	tail     [wheelSlots]*Event // per-slot list tails
+	levelMask uint32             // bit ℓ set iff level ℓ has any occupied slot
+	pending   int                // events queued in the wheel
+	occupied  [numLevels]uint64  // per-level slot occupancy bitmaps
+	head      [wheelSlots]*Event // per-slot list heads (FIFO within a tick)
+	tail      [wheelSlots]*Event // per-slot list tails
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -109,7 +102,7 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: scheduling at %v, before now %v", t, s.now))
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn, slot: slotNone}
+	e := &Event{at: t, seq: s.seq, fn: fn}
 	s.seq++
 	s.enqueue(e)
 	return e
@@ -155,7 +148,7 @@ func (s *Scheduler) Post(t time.Duration, fn func()) {
 		s.free = s.free[:n-1]
 		e.at, e.fn, e.fired, e.dead = t, fn, false, false
 	} else {
-		e = &Event{at: t, fn: fn, pooled: true, slot: slotNone}
+		e = &Event{at: t, fn: fn, pooled: true}
 	}
 	e.seq = s.seq
 	s.seq++
@@ -174,9 +167,8 @@ func (s *Scheduler) recycle(e *Event) {
 	}
 }
 
-// Cancel removes a pending event in O(1) (a slot-list unlink; an overflow
-// heap repair for far-future events). Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// Cancel removes a pending event in O(1) (a slot-list unlink). Cancelling
+// an already-fired or already-cancelled event is a no-op.
 func (s *Scheduler) Cancel(e *Event) {
 	if e == nil || e.dead || e.fired {
 		return
@@ -186,22 +178,17 @@ func (s *Scheduler) Cancel(e *Event) {
 }
 
 // dispatch removes e from the queue, advances the clock, and runs its
-// callback. e must be the findMin result.
+// callback. e must be the scanMin result.
 func (s *Scheduler) dispatch(e *Event) {
-	if e.slot == slotStaged {
-		s.staged = nil
-		e.slot = slotNone
-		s.pending--
-	} else {
-		s.take(e)
-	}
+	s.take(e)
 	e.fired = true
 	s.now = e.at
 	// Drag the wheel cursor along: e is the global minimum, so no pending
 	// tick is behind it and the slot invariants hold. Without this the
-	// cursor could stagnate (the lone-event shortcut skips cascades) and
-	// long runs would push every new event past the wheel horizon into
-	// the overflow heap.
+	// cursor could stagnate (the lone-event shortcut skips cascades). A
+	// cursor that trails now keeps new events at low levels: an event's
+	// level is its XOR distance from the cursor, and every level above the
+	// one it needs costs it another cascade before dispatch.
 	if t := uint64(e.at); t > s.elapsed {
 		s.elapsed = t
 	}
@@ -218,15 +205,8 @@ func (s *Scheduler) Step() bool {
 	if s.stopped || s.pending == 0 {
 		return false
 	}
-	// Staged-singleton fast path: with exactly one pending event it is the
-	// minimum by construction — skip findMin entirely.
-	e := s.staged
-	if e == nil || s.pending != 1 {
-		if e = s.findMin(^uint64(0)); e == nil {
-			return false
-		}
-	}
-	s.dispatch(e)
+	// An unbounded peek always finds the minimum of a non-empty queue.
+	s.dispatch(s.scanMin(^uint64(0)))
 	return true
 }
 
@@ -243,12 +223,12 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: RunUntil(%v) is before now %v", t, s.now))
 	}
-	// findMin doubles as the bounded peek: it only surfaces (and only
+	// scanMin doubles as the bounded peek: it only surfaces (and only
 	// cascades toward) events at or before the horizon, so the wheel
 	// cursor can never overtake t, and therefore never overtakes now.
 	limit := uint64(t)
 	for !s.stopped {
-		e := s.findMin(limit)
+		e := s.scanMin(limit)
 		if e == nil {
 			break
 		}

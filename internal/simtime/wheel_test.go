@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -87,58 +88,60 @@ func TestSameTickFIFOAcrossCascades(t *testing.T) {
 	}
 }
 
-// TestOverflowHeapPath exercises events past the wheel horizon (≈73 min):
-// they must park in the overflow heap, cancel cleanly from there, and
-// dispatch in (at, seq) order against wheel-resident events.
-func TestOverflowHeapPath(t *testing.T) {
+// TestFarFutureOrderAndCancel exercises events scheduled hours of virtual
+// time past a 2^44 ns tick, at the wheel's upper levels: they must cancel
+// cleanly from there and dispatch in (at, seq) order against a near event.
+func TestFarFutureOrderAndCancel(t *testing.T) {
 	s := NewScheduler()
-	far := time.Duration(1) << (horizonBits + 2) // well past the horizon
+	far := time.Duration(1) << 44
 	var order []int
-	s.At(time.Millisecond, func() { order = append(order, 1) }) // occupies the staged slot
+	s.At(time.Millisecond, func() { order = append(order, 1) })
 	s.At(far+2*time.Hour, func() { order = append(order, 3) })
 	s.At(far+time.Hour, func() { order = append(order, 2) })
-	doomed := s.At(far+30*time.Minute, func() { t.Fatal("cancelled overflow event ran") })
-	if len(s.overflow) != 3 {
-		t.Fatalf("overflow holds %d events, want 3", len(s.overflow))
+	doomed := s.At(far+30*time.Minute, func() { t.Fatal("cancelled far-future event ran") })
+	if s.Pending() != 4 {
+		t.Fatalf("pending = %d, want 4", s.Pending())
 	}
 	s.Cancel(doomed)
-	if len(s.overflow) != 2 {
-		t.Fatalf("overflow holds %d events after cancel, want 2", len(s.overflow))
+	if s.Pending() != 3 {
+		t.Fatalf("pending = %d after cancel, want 3", s.Pending())
 	}
 	s.Run()
 	if want := []int{1, 2, 3}; len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("dispatch order = %v, want %v", order, want)
 	}
 	if !doomed.Cancelled() {
-		t.Fatal("overflow cancel not recorded")
+		t.Fatal("far-future cancel not recorded")
 	}
 }
 
-// TestOverflowSameTickBeatsWheel: an overflow event and a later-scheduled
-// wheel event at the same tick must dispatch in seq order (overflow first),
-// once the cursor has advanced enough for the tick to be wheel-reachable.
-// The dispatched cursor-advancing event must itself land past the 2^42
-// tick boundary: RunUntil alone moves now but not the wheel cursor, and a
-// cursor below the boundary would send the second At back to the overflow
-// heap, where seq order holds trivially and the wheel-vs-overflow tie is
-// never exercised.
-func TestOverflowSameTickBeatsWheel(t *testing.T) {
+// TestFarSameTickFIFOAcrossCursorCross: two events at one far tick, the
+// first scheduled from t=0 and the second after the wheel cursor has
+// crossed the 2^42 tick boundary, must dispatch in seq order. The first
+// is filed at level 7 and cascades to level 6 as the cursor crosses the
+// boundary; the second, keyed against the moved cursor, lands behind it in
+// that level-6 slot. Dispatching the cursor-advancing event is what drags
+// the cursor past the boundary; RunUntil alone moves now but not the
+// cursor.
+func TestFarSameTickFIFOAcrossCursorCross(t *testing.T) {
 	s := NewScheduler()
-	target := time.Duration(1)<<horizonBits + 5*time.Minute
+	target := time.Duration(1)<<42 + 5*time.Minute
 	var order []int
-	// Staged; dispatching it drags the wheel cursor across the boundary.
 	s.At(target-time.Minute, func() { order = append(order, -1) })
-	s.At(target, func() { order = append(order, 0) }) // past horizon from t=0
-	if len(s.overflow) != 1 {
-		t.Fatalf("overflow holds %d events, want 1", len(s.overflow))
+	s.At(target, func() { order = append(order, 0) })
+	if s.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2", s.Pending())
 	}
 	s.RunUntil(target - time.Minute)
-	s.At(target, func() { order = append(order, 1) }) // same tick, lone wheel slot
-	if len(s.overflow) != 1 {
-		t.Fatalf("overflow holds %d events after second At, want 1 (wheel not reached)", len(s.overflow))
+	s.At(target, func() { order = append(order, 1) }) // same tick, lower level
+	if s.Pending() != 2 {
+		t.Fatalf("pending = %d after second At, want 2", s.Pending())
 	}
 	s.Run()
 	want := []int{-1, 0, 1}
+	if len(order) != len(want) {
+		t.Fatalf("dispatch order = %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("dispatch order = %v, want %v", order, want)
@@ -146,15 +149,51 @@ func TestOverflowSameTickBeatsWheel(t *testing.T) {
 	}
 }
 
-// TestStagedSingletonArbitration: the first event into an empty queue is
-// held outside the wheel; later events must still interleave correctly —
+// TestTopLevelTicks schedules at the largest representable times, which
+// key to level 10 from a cursor at zero: cancel and (at, seq) order must
+// hold there as anywhere, and the clock must end at math.MaxInt64.
+func TestTopLevelTicks(t *testing.T) {
+	s := NewScheduler()
+	top := time.Duration(math.MaxInt64)
+	var order []int
+	s.At(top, func() { order = append(order, 1) })
+	s.At(top-1, func() { order = append(order, 0) })
+	doomed := s.At(top-2, func() { t.Fatal("cancelled top-level event ran") })
+	s.At(top, func() { order = append(order, 2) }) // same tick → after the first
+	if s.levelMask != 1<<(numLevels-1) {
+		t.Fatalf("levelMask = %b, want only level %d", s.levelMask, numLevels-1)
+	}
+	s.Cancel(doomed)
+	if s.Pending() != 3 {
+		t.Fatalf("pending = %d after cancel, want 3", s.Pending())
+	}
+	s.Run()
+	want := []int{0, 1, 2}
+	if len(order) != len(want) {
+		t.Fatalf("dispatch order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("dispatch order = %v, want %v", order, want)
+		}
+	}
+	if s.Now() != top {
+		t.Fatalf("Now() = %v, want %v", s.Now(), top)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("pending = %d after drain, want 0", s.Pending())
+	}
+}
+
+// TestFirstEventArbitration: the first event into an empty queue gets no
+// special treatment — later events must interleave with it correctly:
 // earlier ticks preempt it, equal ticks follow it.
-func TestStagedSingletonArbitration(t *testing.T) {
+func TestFirstEventArbitration(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.At(10*time.Millisecond, func() { order = append(order, 1) }) // staged
-	s.At(5*time.Millisecond, func() { order = append(order, 0) })  // earlier → wheel
-	s.At(10*time.Millisecond, func() { order = append(order, 2) }) // same tick → after staged
+	s.At(10*time.Millisecond, func() { order = append(order, 1) }) // first
+	s.At(5*time.Millisecond, func() { order = append(order, 0) })  // earlier
+	s.At(10*time.Millisecond, func() { order = append(order, 2) }) // same tick → after first
 	s.Run()
 	want := []int{0, 1, 2}
 	for i := range want {
@@ -164,20 +203,20 @@ func TestStagedSingletonArbitration(t *testing.T) {
 	}
 }
 
-// TestCancelStagedEvent: cancelling the staged singleton must empty the
-// queue and leave the scheduler usable.
-func TestCancelStagedEvent(t *testing.T) {
+// TestCancelOnlyPendingEvent: cancelling the only pending event must empty
+// the queue and leave the scheduler usable.
+func TestCancelOnlyPendingEvent(t *testing.T) {
 	s := NewScheduler()
 	e := s.At(time.Millisecond, func() { t.Fatal("cancelled event ran") })
 	s.Cancel(e)
 	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after cancelling staged event, want 0", s.Pending())
+		t.Fatalf("pending = %d after cancelling the only event, want 0", s.Pending())
 	}
 	ran := false
 	s.At(2*time.Millisecond, func() { ran = true })
 	s.Run()
 	if !ran {
-		t.Fatal("scheduler unusable after staged cancel")
+		t.Fatal("scheduler unusable after cancelling the only event")
 	}
 }
 
@@ -234,9 +273,6 @@ func TestCursorNeverPassesPendingTicks(t *testing.T) {
 		900 * time.Millisecond, 10 * time.Second, 20 * time.Minute, 2 * time.Hour,
 	}
 	check := func() {
-		if s.staged != nil && uint64(s.staged.at) < s.elapsed {
-			t.Fatalf("cursor %d passed staged tick %d", s.elapsed, s.staged.at)
-		}
 		for i := range s.head {
 			for e := s.head[i]; e != nil; e = e.next {
 				if uint64(e.at) < s.elapsed {
